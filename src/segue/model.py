@@ -1,10 +1,16 @@
 """Sequence-model parameter containers and the versioned binary model file.
 
+In memory each LSTM layer holds one fused weight (4H, in+H) and bias (4H,):
+row block k is gate ``GATES[k]``, the first ``in`` columns act on the layer
+input and the last H on the previous hidden state. The file is unchanged by
+this layout; save and load slice its per-gate blocks out of the fused arrays.
+
 File layout (little-endian throughout):
 
     magic   4 bytes  b"SGM1" (the trailing digit is the format version)
     header  4 x u32  num_layers, hidden_size, dimension, context_length (0 = unset)
-    blocks  one per parameter, canonical order (see ``SequenceModel.parameter_items``):
+    blocks  per layer and gate: input weights, recurrent weights, bias; then
+            the output projection and its bias (``SequenceModel.blocks``):
             u32 element count, then count float64 values, row-major
 
 The numeric payload is raw float64, so a save/load round trip is bit-exact.
@@ -12,15 +18,19 @@ The numeric payload is raw float64, so a save/load round trip is bit-exact.
 
 from __future__ import annotations
 
+import copy
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 MAGIC = b"SGM1"
+_HEADER_BYTES = 4 + 16
 
-# Gate order is part of the file format and of every canonical parameter walk.
+# Gate order is part of the file format and of the fused row layout.
 GATES = ("input", "forget", "output", "candidate")
 
 
@@ -42,15 +52,16 @@ class ModelCorruptError(ModelFormatError):
 
 @dataclass
 class LstmLayerParams:
-    """Per-gate weights for one LSTM layer.
+    """Fused weights for one LSTM layer: ``weight`` (4H, in+H), ``bias`` (4H,)."""
 
-    Each dict maps a gate name from ``GATES`` to an array: ``w_x`` input
-    weights (H, in_dim), ``w_h`` recurrent weights (H, H), ``bias`` (H,).
-    """
+    weight: np.ndarray
+    bias: np.ndarray
 
-    w_x: dict[str, np.ndarray]
-    w_h: dict[str, np.ndarray]
-    bias: dict[str, np.ndarray]
+    def gate(self, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Views (input weights (H, in), recurrent weights (H, H), bias (H,)) of one gate."""
+        hidden = self.weight.shape[0] // 4
+        rows = slice(GATES.index(name) * hidden, (GATES.index(name) + 1) * hidden)
+        return self.weight[rows, :-hidden], self.weight[rows, -hidden:], self.bias[rows]
 
 
 @dataclass
@@ -69,6 +80,13 @@ class SequenceModel:
     context_length: int | None = None
     train_meta: dict = field(default_factory=dict)
 
+    @classmethod
+    def zeros(cls, num_layers: int, hidden: int, dim: int) -> "SequenceModel":
+        """A model of the given shape with every parameter zero."""
+        arrays = [np.zeros(shape) for _, shape in _fused_shapes(num_layers, hidden, dim)]
+        layers = [LstmLayerParams(*arrays[2 * i : 2 * i + 2]) for i in range(num_layers)]
+        return cls(layers=layers, w_out=arrays[-2], b_out=arrays[-1])
+
     @property
     def num_layers(self) -> int:
         return len(self.layers)
@@ -82,16 +100,19 @@ class SequenceModel:
         return self.w_out.shape[0]
 
     def parameter_items(self) -> list[tuple[str, np.ndarray]]:
-        """All parameter arrays in canonical (serialization) order."""
+        """All parameter arrays (the fused ones, not views) in canonical order."""
         items: list[tuple[str, np.ndarray]] = []
         for index, layer in enumerate(self.layers):
+            items += [(f"layer{index}.weight", layer.weight), (f"layer{index}.bias", layer.bias)]
+        return items + [("out.w", self.w_out), ("out.b", self.b_out)]
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        """Views of the parameters as the file's blocks, in file order."""
+        for layer in self.layers:
             for gate in GATES:
-                items.append((f"layer{index}.{gate}.w_x", layer.w_x[gate]))
-                items.append((f"layer{index}.{gate}.w_h", layer.w_h[gate]))
-                items.append((f"layer{index}.{gate}.bias", layer.bias[gate]))
-        items.append(("out.w", self.w_out))
-        items.append(("out.b", self.b_out))
-        return items
+                yield from layer.gate(gate)
+        yield self.w_out
+        yield self.b_out
 
     @property
     def parameter_count(self) -> int:
@@ -101,7 +122,7 @@ class SequenceModel:
         """Check shape consistency against (L, H, D) and finiteness of all parameters."""
         if self.num_layers < 1:
             raise ModelShapeError("model must have at least one layer")
-        expected = dict(_expected_shapes(self.num_layers, self.hidden_size, self.dimension))
+        expected = dict(_fused_shapes(self.num_layers, self.hidden_size, self.dimension))
         for name, array in self.parameter_items():
             if array.shape != expected[name]:
                 raise ModelShapeError(f"parameter '{name}': shape {array.shape} != {expected[name]}")
@@ -110,21 +131,7 @@ class SequenceModel:
 
     def copy(self) -> "SequenceModel":
         """Deep copy; parameter arrays are duplicated."""
-        layers = [
-            LstmLayerParams(
-                w_x={g: layer.w_x[g].copy() for g in GATES},
-                w_h={g: layer.w_h[g].copy() for g in GATES},
-                bias={g: layer.bias[g].copy() for g in GATES},
-            )
-            for layer in self.layers
-        ]
-        return SequenceModel(
-            layers=layers,
-            w_out=self.w_out.copy(),
-            b_out=self.b_out.copy(),
-            context_length=self.context_length,
-            train_meta=dict(self.train_meta),
-        )
+        return copy.deepcopy(self)
 
     def equals(self, other: "SequenceModel") -> bool:
         """Exact structural and parameter-wise equality (bitwise on values)."""
@@ -137,17 +144,26 @@ class SequenceModel:
         )
 
 
-def _expected_shapes(num_layers: int, hidden: int, dim: int) -> list[tuple[str, tuple[int, ...]]]:
+def _fused_shapes(num_layers: int, hidden: int, dim: int) -> list[tuple[str, tuple[int, ...]]]:
     shapes: list[tuple[str, tuple[int, ...]]] = []
     for index in range(num_layers):
         in_dim = dim if index == 0 else hidden
+        shapes += [
+            (f"layer{index}.weight", (4 * hidden, in_dim + hidden)), (f"layer{index}.bias", (4 * hidden,))
+        ]
+    return shapes + [("out.w", (dim, hidden)), ("out.b", (dim,))]
+
+
+def _block_shapes(num_layers: int, hidden: int, dim: int) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """Name and shape of every file block, in file order; lazy, so a hostile header costs nothing."""
+    for index in range(num_layers):
+        in_dim = dim if index == 0 else hidden
         for gate in GATES:
-            shapes.append((f"layer{index}.{gate}.w_x", (hidden, in_dim)))
-            shapes.append((f"layer{index}.{gate}.w_h", (hidden, hidden)))
-            shapes.append((f"layer{index}.{gate}.bias", (hidden,)))
-    shapes.append(("out.w", (dim, hidden)))
-    shapes.append(("out.b", (dim,)))
-    return shapes
+            yield f"layer{index}.{gate}.w_x", (hidden, in_dim)
+            yield f"layer{index}.{gate}.w_h", (hidden, hidden)
+            yield f"layer{index}.{gate}.bias", (hidden,)
+    yield "out.w", (dim, hidden)
+    yield "out.b", (dim,)
 
 
 def save_model(model: SequenceModel, path: str | Path) -> None:
@@ -155,20 +171,11 @@ def save_model(model: SequenceModel, path: str | Path) -> None:
     model.validate()
     path = Path(path)
     with path.open("wb") as handle:
-        handle.write(MAGIC)
-        handle.write(
-            struct.pack(
-                "<4I",
-                model.num_layers,
-                model.hidden_size,
-                model.dimension,
-                model.context_length or 0,
-            )
-        )
-        for _, array in model.parameter_items():
-            block = np.ascontiguousarray(array, dtype="<f8")
+        header = (model.num_layers, model.hidden_size, model.dimension, model.context_length or 0)
+        handle.write(MAGIC + struct.pack("<4I", *header))
+        for block in model.blocks():
             handle.write(struct.pack("<I", block.size))
-            handle.write(block.tobytes())
+            handle.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
 
 
 def load_model(path: str | Path) -> SequenceModel:
@@ -177,53 +184,47 @@ def load_model(path: str | Path) -> SequenceModel:
     Raises ``ModelVersionError`` for an unknown format version,
     ``ModelShapeError`` when header and block shapes disagree, and
     ``ModelCorruptError`` for truncated or otherwise unreadable files.
+    Every block is checked before any parameter array is allocated, so the
+    memory a file can claim is bounded by its length.
     """
     data = Path(path).read_bytes()
     if len(data) < 4 or data[:3] != MAGIC[:3]:
         raise ModelCorruptError("not a sequence-model file")
     if data[:4] != MAGIC:
         raise ModelVersionError(f"unsupported model format version {data[3:4]!r}")
-    offset = 4
-    if len(data) < offset + 16:
+    if len(data) < _HEADER_BYTES:
         raise ModelCorruptError("truncated header")
-    num_layers, hidden, dim, context = struct.unpack_from("<4I", data, offset)
-    offset += 16
+    num_layers, hidden, dim, context = struct.unpack_from("<4I", data, 4)
     if num_layers < 1 or hidden < 1 or dim < 1:
         raise ModelShapeError(f"invalid header (L={num_layers}, H={hidden}, D={dim})")
+    least = _HEADER_BYTES + (12 * num_layers + 2) * (4 + 8)  # a count and a value per block
+    if len(data) < least:
+        raise ModelCorruptError(
+            f"header claims {num_layers} layers: needs {least} bytes, file has {len(data)}"
+        )
 
-    arrays: dict[str, np.ndarray] = {}
-    for name, shape in _expected_shapes(num_layers, hidden, dim):
+    offsets, offset = [], _HEADER_BYTES
+    for name, shape in _block_shapes(num_layers, hidden, dim):
         if len(data) < offset + 4:
             raise ModelCorruptError(f"truncated before block '{name}'")
         (count,) = struct.unpack_from("<I", data, offset)
         offset += 4
-        expected = int(np.prod(shape))
+        expected = math.prod(shape)
         if count != expected:
             raise ModelShapeError(
                 f"block '{name}': header implies {expected} elements, file records {count}"
             )
-        end = offset + 8 * count
-        if len(data) < end:
+        if len(data) < offset + 8 * count:
             raise ModelCorruptError(f"truncated inside block '{name}'")
-        arrays[name] = np.frombuffer(data[offset:end], dtype="<f8").reshape(shape).copy()
-        offset = end
+        offsets.append(offset)
+        offset += 8 * count
     if offset != len(data):
         raise ModelCorruptError(f"{len(data) - offset} trailing bytes after final block")
 
-    layers = [
-        LstmLayerParams(
-            w_x={g: arrays[f"layer{i}.{g}.w_x"] for g in GATES},
-            w_h={g: arrays[f"layer{i}.{g}.w_h"] for g in GATES},
-            bias={g: arrays[f"layer{i}.{g}.bias"] for g in GATES},
-        )
-        for i in range(num_layers)
-    ]
-    model = SequenceModel(
-        layers=layers,
-        w_out=arrays["out.w"],
-        b_out=arrays["out.b"],
-        context_length=context or None,
-    )
+    model = SequenceModel.zeros(num_layers, hidden, dim)
+    model.context_length = context or None
+    for block, start in zip(model.blocks(), offsets):
+        block[...] = np.frombuffer(data, "<f8", block.size, start).reshape(block.shape)
     if any(not np.isfinite(a).all() for _, a in model.parameter_items()):
         raise ModelCorruptError("non-finite parameter value")
     model.validate()

@@ -7,19 +7,24 @@ predictions stay inside the (0, 1) probability range of the feature space.
 
 Windows shorter than the context length are left-padded and carry a boolean
 mask; masked steps are skipped entirely, so padding can never influence the
-prediction. Loss is the mean squared error between prediction and target,
+prediction. A minibatch runs in lockstep, one fused matrix product per layer
+and step. Loss is the mean squared error between prediction and target,
 averaged over feature dimensions and batch items, and gradients are computed
-by backpropagation through time over the unmasked steps.
+by one backpropagation through time over the batch's unmasked steps.
 """
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .catalog import TrainingPair
-from .model import GATES, LstmLayerParams, SequenceModel
+from .model import SequenceModel
+
+logger = logging.getLogger(__name__)
 
 
 class TrainingDivergedError(RuntimeError):
@@ -73,12 +78,8 @@ class LstmState:
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function."""
-    out = np.empty_like(x, dtype=np.float64)
-    positive = x >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
-    expx = np.exp(x[~positive])
-    out[~positive] = expx / (1.0 + expx)
-    return out
+    expx = np.exp(-np.abs(x))  # exp(-x) where x >= 0, else exp(x)
+    return np.where(x >= 0, 1.0, expx) / (1.0 + expx)
 
 
 def init_model(
@@ -88,28 +89,19 @@ def init_model(
 
     Biases start at zero except the forget gates, which start at one so early
     training does not wipe the cell state. Deterministic for a given seed:
-    weight matrices are drawn in canonical parameter order.
+    weight matrices are drawn in file block order.
     """
     if num_layers < 1 or hidden_size < 1 or dimension < 1:
         raise ValueError("num_layers, hidden_size, and dimension must be positive")
     rng = np.random.default_rng(seed)
-
-    def draw(rows: int, cols: int) -> np.ndarray:
-        bound = 1.0 / np.sqrt(cols)
-        return rng.uniform(-bound, bound, size=(rows, cols))
-
-    layers = []
-    for index in range(num_layers):
-        in_dim = dimension if index == 0 else hidden_size
-        w_x, w_h, bias = {}, {}, {}
-        for gate in GATES:
-            w_x[gate] = draw(hidden_size, in_dim)
-            w_h[gate] = draw(hidden_size, hidden_size)
-            bias[gate] = np.ones(hidden_size) if gate == "forget" else np.zeros(hidden_size)
-        layers.append(LstmLayerParams(w_x=w_x, w_h=w_h, bias=bias))
-    w_out = draw(dimension, hidden_size)
-    b_out = np.zeros(dimension)
-    return SequenceModel(layers=layers, w_out=w_out, b_out=b_out)
+    model = SequenceModel.zeros(num_layers, hidden_size, dimension)
+    for block in model.blocks():
+        if block.ndim == 2:
+            bound = 1.0 / np.sqrt(block.shape[1])
+            block[...] = rng.uniform(-bound, bound, size=block.shape)
+    for layer in model.layers:
+        layer.gate("forget")[2][...] = 1.0
+    return model
 
 
 def zero_state(model: SequenceModel) -> LstmState:
@@ -119,6 +111,52 @@ def zero_state(model: SequenceModel) -> LstmState:
     )
 
 
+def _lockstep(
+    model: SequenceModel, x: np.ndarray, hidden: list, cell: list, tape: list | None = None
+) -> None:
+    """Advance every layer one step for the (B, D) input ``x``, replacing the (B, H) states.
+
+    With a ``tape``, appends per layer what backpropagation needs:
+    ([input, previous hidden], gates, previous cell, tanh of the new cell).
+    """
+    sigmoid_rows = 3 * model.hidden_size  # input, forget, output; then candidate
+    for index, layer in enumerate(model.layers):
+        xh = np.concatenate([x, hidden[index]], axis=1)
+        gates = xh @ layer.weight.T + layer.bias
+        gates[:, :sigmoid_rows] = sigmoid(gates[:, :sigmoid_rows])
+        np.tanh(gates[:, sigmoid_rows:], out=gates[:, sigmoid_rows:])
+        i, f, o, g = np.split(gates, 4, axis=1)
+        c = f * cell[index] + i * g
+        tanh_c = np.tanh(c)
+        if tape is not None:
+            tape.append((xh, gates, cell[index], tanh_c))
+        hidden[index], cell[index] = o * tanh_c, c
+        x = hidden[index]
+
+
+def _run(
+    model: SequenceModel, windows: np.ndarray, masks: np.ndarray, tape: list | None = None
+) -> np.ndarray:
+    """Run (B, N, D) windows with (B, N) masks in lockstep from the zero state; returns (B, H).
+
+    Only the items unmasked at a step advance; the others keep their state, as
+    ``where(mask, new, previous)`` would, without computing their rows. Steps
+    masked for every item are skipped. A ``tape`` gets (rows, caches) per step.
+    """
+    shape = (windows.shape[0], model.hidden_size)
+    hidden = [np.zeros(shape) for _ in model.layers]
+    cell = [np.zeros(shape) for _ in model.layers]
+    for t in np.flatnonzero(masks.any(axis=0)):
+        rows = np.flatnonzero(masks[:, t])
+        step_hidden, step_cell, caches = [h[rows] for h in hidden], [c[rows] for c in cell], []
+        _lockstep(model, windows[rows, t], step_hidden, step_cell, caches)
+        for index in range(model.num_layers):
+            hidden[index][rows], cell[index][rows] = step_hidden[index], step_cell[index]
+        if tape is not None:
+            tape.append((rows, caches))
+    return hidden[-1]
+
+
 def lstm_step(
     x: np.ndarray, state: LstmState, model: SequenceModel
 ) -> tuple[np.ndarray, LstmState]:
@@ -126,55 +164,10 @@ def lstm_step(
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (model.dimension,):
         raise ValueError(f"input shape {x.shape} != ({model.dimension},)")
-    new_state, _ = _step(x, state, model)
+    hidden, cell = [h[None] for h in state.hidden], [c[None] for c in state.cell]
+    _lockstep(model, x[None], hidden, cell)
+    new_state = LstmState(hidden=[h[0] for h in hidden], cell=[c[0] for c in cell])
     return new_state.hidden[-1], new_state
-
-
-def _step(
-    x: np.ndarray, state: LstmState, model: SequenceModel
-) -> tuple[LstmState, list[dict[str, np.ndarray]]]:
-    """One step over all layers, returning the new state and per-layer caches."""
-    caches: list[dict[str, np.ndarray]] = []
-    hidden = list(state.hidden)
-    cell = list(state.cell)
-    layer_input = x
-    for index, layer in enumerate(model.layers):
-        h_prev, c_prev = hidden[index], cell[index]
-        pre = {
-            gate: layer.w_x[gate] @ layer_input + layer.w_h[gate] @ h_prev + layer.bias[gate]
-            for gate in GATES
-        }
-        i = sigmoid(pre["input"])
-        f = sigmoid(pre["forget"])
-        o = sigmoid(pre["output"])
-        g = np.tanh(pre["candidate"])
-        c = f * c_prev + i * g
-        h = o * np.tanh(c)
-        caches.append(
-            {"x": layer_input, "h_prev": h_prev, "c_prev": c_prev,
-             "i": i, "f": f, "o": o, "g": g, "c": c}
-        )
-        hidden[index], cell[index] = h, c
-        layer_input = h
-    return LstmState(hidden=hidden, cell=cell), caches
-
-
-def _run_window(
-    model: SequenceModel, window: np.ndarray, mask: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, list[list[dict[str, np.ndarray]]]]:
-    """Run the unmasked steps of one window from the zero state.
-
-    Returns (prediction, final top hidden, per-step caches)."""
-    state = zero_state(model)
-    caches = []
-    for t in range(window.shape[0]):
-        if not mask[t]:
-            continue
-        state, step_cache = _step(window[t], state, model)
-        caches.append(step_cache)
-    h_top = state.hidden[-1]
-    prediction = sigmoid(model.w_out @ h_top + model.b_out)
-    return prediction, h_top, caches
 
 
 def forward(
@@ -182,22 +175,20 @@ def forward(
 ) -> np.ndarray:
     """Predict the next feature vector from a window of segment vectors.
 
-    ``window`` is (N, D); ``mask`` is (N,) booleans marking real (unmasked)
-    steps, defaulting to all real. Masked steps are skipped, so the prediction
-    of a fully masked window comes from the zero state. Every output element
-    lies strictly in (0, 1).
+    ``window`` is (N, D) with ``mask`` (N,), or a batch (B, N, D) with ``mask``
+    (B, N); the mask marks real (unmasked) steps and defaults to all real.
+    Masked steps are skipped, so a fully masked window predicts from the zero
+    state. Returns (D,) or (B, D), every element strictly inside (0, 1).
     """
     window = np.asarray(window, dtype=np.float64)
-    if window.ndim != 2 or window.shape[1] != model.dimension:
+    if window.ndim not in (2, 3) or window.shape[-1] != model.dimension:
         raise ValueError(f"window shape {window.shape} incompatible with dimension {model.dimension}")
-    if mask is None:
-        mask = np.ones(window.shape[0], dtype=bool)
-    else:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (window.shape[0],):
-            raise ValueError(f"mask length {mask.shape} != window length {window.shape[0]}")
-    prediction, _, _ = _run_window(model, window, mask)
-    return prediction
+    mask = np.ones(window.shape[:-1], dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    if mask.shape != window.shape[:-1]:
+        raise ValueError(f"mask length {mask.shape} != window length {window.shape[:-1]}")
+    windows = window.reshape(-1, *window.shape[-2:])
+    h_top = _run(model, windows, mask.reshape(windows.shape[:2]))
+    return sigmoid(h_top @ model.w_out.T + model.b_out).reshape(*window.shape[:-2], model.dimension)
 
 
 def loss_and_gradients(
@@ -205,78 +196,62 @@ def loss_and_gradients(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean squared error over a batch plus gradients for every parameter.
 
-    Loss is mean over batch items of ||prediction - target||^2 / D. Gradients
-    are accumulated by backpropagation through time over each item's unmasked
-    steps. Raises ``TrainingDivergedError`` if anything goes non-finite.
+    Loss is mean over batch items of ||prediction - target||^2 / D. The items
+    run in lockstep and gradients come from one backpropagation through time
+    over the batch's unmasked steps. Raises ``TrainingDivergedError`` if
+    anything goes non-finite.
     """
     if not batch:
         raise ValueError("batch is empty")
-    grads = {name: np.zeros_like(array) for name, array in model.parameter_items()}
-    batch_size = len(batch)
-    dim = model.dimension
-    total = 0.0
-    for window, mask, target in batch:
-        window = np.asarray(window, dtype=np.float64)
-        mask = np.asarray(mask, dtype=bool)
-        target = np.asarray(target, dtype=np.float64)
-        prediction, h_top, caches = _run_window(model, window, mask)
-        residual = prediction - target
-        total += float(residual @ residual) / dim
-        # d loss / d prediction for the batch mean of per-item mean squared error
-        dpred = 2.0 * residual / (dim * batch_size)
-        dz_out = dpred * prediction * (1.0 - prediction)
-        grads["out.w"] += np.outer(dz_out, h_top)
-        grads["out.b"] += dz_out
-        _backprop_through_time(model, caches, model.w_out.T @ dz_out, grads)
-    loss = total / batch_size
+    windows = np.asarray([pair.window for pair in batch], dtype=np.float64)
+    masks = np.asarray([pair.mask for pair in batch], dtype=bool)
+    targets = np.asarray([pair.target for pair in batch], dtype=np.float64)
+    batch_size, dim = len(batch), model.dimension
+    tape: list = []
+    h_top = _run(model, windows, masks, tape)
+    prediction = sigmoid(h_top @ model.w_out.T + model.b_out)
+    residual = prediction - targets
+    loss = float(np.sum(residual * residual)) / dim / batch_size
+    # d loss / d prediction for the batch mean of per-item mean squared error
+    dz_out = 2.0 * residual / (dim * batch_size) * prediction * (1.0 - prediction)
+    grads = {name: np.empty_like(array) for name, array in model.parameter_items()}
+    np.dot(dz_out.T, h_top, out=grads["out.w"])
+    np.sum(dz_out, axis=0, out=grads["out.b"])
+    _bptt(model, tape, dz_out @ model.w_out, grads)
     if not np.isfinite(loss) or any(not np.isfinite(g).all() for g in grads.values()):
         raise TrainingDivergedError("non-finite loss or gradient")
     return loss, grads
 
 
-def _backprop_through_time(
-    model: SequenceModel,
-    caches: list[list[dict[str, np.ndarray]]],
-    dh_top_final: np.ndarray,
-    grads: dict[str, np.ndarray],
-) -> None:
-    """Accumulate parameter gradients for one window, walking steps in reverse."""
-    num_layers = model.num_layers
-    hidden = model.hidden_size
-    dh_carry = [np.zeros(hidden) for _ in range(num_layers)]
-    dc_carry = [np.zeros(hidden) for _ in range(num_layers)]
-    dh_carry[-1] = dh_top_final.copy()
-    for step_cache in reversed(caches):
-        dx_from_above: np.ndarray | None = None
-        for index in range(num_layers - 1, -1, -1):
-            cache = step_cache[index]
-            dh = dh_carry[index]
-            if dx_from_above is not None:
-                dh = dh + dx_from_above
-            tanh_c = np.tanh(cache["c"])
-            d_o = dh * tanh_c
-            dc = dc_carry[index] + dh * cache["o"] * (1.0 - tanh_c**2)
-            d_f = dc * cache["c_prev"]
-            d_i = dc * cache["g"]
-            d_g = dc * cache["i"]
-            dc_carry[index] = dc * cache["f"]
-            dz = {
-                "input": d_i * cache["i"] * (1.0 - cache["i"]),
-                "forget": d_f * cache["f"] * (1.0 - cache["f"]),
-                "output": d_o * cache["o"] * (1.0 - cache["o"]),
-                "candidate": d_g * (1.0 - cache["g"] ** 2),
-            }
+def _bptt(model: SequenceModel, tape: list, dh_top: np.ndarray, grads: dict) -> None:
+    """Fill the LSTM parameter gradients from a ``_run`` tape, walking steps in reverse.
+
+    Gate gradients of all steps are collected per layer, so each weight
+    gradient is one product with the matching cached inputs.
+    """
+    dh = [np.zeros_like(dh_top) for _ in model.layers[1:]] + [dh_top]
+    dc = [np.zeros_like(dh_top) for _ in model.layers]
+    # empty first entries: a tape without steps gives zero gradients
+    dz_steps = [[np.empty((0, layer.weight.shape[0]))] for layer in model.layers]
+    xh_steps = [[np.empty((0, layer.weight.shape[1]))] for layer in model.layers]
+    for rows, caches in reversed(tape):
+        dx_from_above = 0.0
+        for index in reversed(range(model.num_layers)):
             layer = model.layers[index]
-            dx = np.zeros_like(cache["x"])
-            dh_prev = np.zeros(hidden)
-            for gate in GATES:
-                grads[f"layer{index}.{gate}.w_x"] += np.outer(dz[gate], cache["x"])
-                grads[f"layer{index}.{gate}.w_h"] += np.outer(dz[gate], cache["h_prev"])
-                grads[f"layer{index}.{gate}.bias"] += dz[gate]
-                dx += layer.w_x[gate].T @ dz[gate]
-                dh_prev += layer.w_h[gate].T @ dz[gate]
-            dh_carry[index] = dh_prev
-            dx_from_above = dx
+            xh, gates, c_prev, tanh_c = caches[index]
+            i, f, o, g = np.split(gates, 4, axis=1)
+            d_h = dh[index][rows] + dx_from_above
+            d_c = dc[index][rows] + d_h * o * (1.0 - tanh_c**2)
+            dz = np.concatenate([d_c * g * i * (1.0 - i), d_c * c_prev * f * (1.0 - f),
+                                 d_h * tanh_c * o * (1.0 - o), d_c * i * (1.0 - g**2)], axis=1)
+            dx_from_above, dh[index][rows] = np.split(dz @ layer.weight, [-model.hidden_size], axis=1)
+            dc[index][rows] = d_c * f
+            dz_steps[index].append(dz)
+            xh_steps[index].append(xh)
+    for index in range(model.num_layers):
+        dz = np.concatenate(dz_steps[index])
+        np.dot(dz.T, np.concatenate(xh_steps[index]), out=grads[f"layer{index}.weight"])
+        np.sum(dz, axis=0, out=grads[f"layer{index}.bias"])
 
 
 def train(
@@ -305,8 +280,10 @@ def train(
     count = len(sequences)
     epoch_losses: list[float] = []
     for epoch in range(1, config.epochs + 1):
+        started = time.perf_counter()
         order = rng.permutation(count)
         weighted = 0.0
+        norms = []
         for lo in range(0, count, config.batch_size):
             chunk = order[lo : lo + config.batch_size]
             batch = [sequences[i] for i in chunk]
@@ -314,13 +291,20 @@ def train(
                 loss, grads = loss_and_gradients(trained, batch)
             except TrainingDivergedError as exc:
                 raise TrainingDivergedError(str(exc), epoch=epoch) from None
-            _clip_gradients(grads, config.clip_norm)
+            norms.append(_clip_gradients(grads, config.clip_norm))
             opt.update(params, grads)
+            del grads  # before the next batch allocates its own
             weighted += loss * len(chunk)
         epoch_loss = weighted / count
         if not np.isfinite(epoch_loss):
             raise TrainingDivergedError("non-finite epoch loss", epoch=epoch)
         epoch_losses.append(epoch_loss)
+        logger.info(
+            "epoch %d/%d loss=%.6g grad_norm_max=%.4g clipped=%d/%d seconds=%.3f",
+            epoch, config.epochs, epoch_loss, max(norms),
+            sum(norm > config.clip_norm for norm in norms), len(norms),
+            time.perf_counter() - started,
+        )
     trained.context_length = config.context_length
     trained.train_meta = {
         "loss": "mean_squared_error",
@@ -334,12 +318,14 @@ def train(
     return trained, LossReport(epoch_losses=epoch_losses)
 
 
-def _clip_gradients(grads: dict[str, np.ndarray], clip_norm: float) -> None:
-    norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
+def _clip_gradients(grads: dict[str, np.ndarray], clip_norm: float) -> float:
+    """Scale gradients in place to global norm ``clip_norm`` if above it; returns the prior norm."""
+    norm = float(np.sqrt(sum(float(np.vdot(g, g)) for g in grads.values())))
     if norm > clip_norm:
         scale = clip_norm / norm
         for g in grads.values():
             g *= scale
+    return norm
 
 
 class _Sgd:
@@ -354,6 +340,10 @@ class _Sgd:
 class _Adam:
     """Per-parameter first/second-moment adaptive updates."""
 
+    # Elements per slice of the in-place update: keeps its two scratch
+    # buffers small enough to stay in cache however large a parameter is.
+    chunk = 1 << 15
+
     def __init__(self, params: dict[str, np.ndarray], learning_rate: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.learning_rate = learning_rate
@@ -361,25 +351,37 @@ class _Adam:
         self.step = 0
         self.m = {name: np.zeros_like(a) for name, a in params.items()}
         self.v = {name: np.zeros_like(a) for name, a in params.items()}
+        self._scratch = np.empty((2, self.chunk))
 
     def update(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+        """In place; every value equals ``array - (lr * m_hat) / (sqrt(v_hat) + eps)``."""
         self.step += 1
         correct1 = 1.0 - self.beta1**self.step
         correct2 = 1.0 - self.beta2**self.step
         for name, array in params.items():
-            g = grads[name]
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[name] / correct1
-            v_hat = self.v[name] / correct2
-            array -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+            flat = [x.reshape(-1) for x in (array, grads[name], self.m[name], self.v[name])]
+            for lo in range(0, array.size, self.chunk):
+                p, g, m, v = (x[lo : lo + self.chunk] for x in flat)
+                a, b = self._scratch[:, : p.size]
+                m *= self.beta1
+                m += np.multiply(1.0 - self.beta1, g, out=a)
+                v *= self.beta2
+                v += np.multiply(np.multiply(1.0 - self.beta2, g, out=a), g, out=a)
+                np.divide(m, correct1, out=a)
+                a *= self.learning_rate
+                np.divide(v, correct2, out=b)
+                np.sqrt(b, out=b)
+                b += self.eps
+                a /= b
+                p -= a
 
 
 def predict_next(model: SequenceModel, recent_segments: np.ndarray) -> np.ndarray:
     """Predict the feature vector that should follow the given segment history.
 
     Uses the model's trained context length: histories longer than it keep
-    only the most recent segments, shorter ones are left-padded and masked.
+    only the most recent segments. A shorter history is run as it is, which
+    is what left-padding it with masked steps would give.
     """
     recent = np.asarray(recent_segments, dtype=np.float64)
     if recent.ndim != 2 or recent.shape[0] < 1:
@@ -388,10 +390,4 @@ def predict_next(model: SequenceModel, recent_segments: np.ndarray) -> np.ndarra
         raise ValueError(f"segment dimension {recent.shape[1]} != model dimension {model.dimension}")
     if model.context_length is None:
         raise ValueError("model has no context length; train it or set context_length")
-    n = model.context_length
-    recent = recent[-n:]
-    window = np.zeros((n, model.dimension))
-    mask = np.zeros(n, dtype=bool)
-    window[n - recent.shape[0] :] = recent
-    mask[n - recent.shape[0] :] = True
-    return forward(model, window, mask)
+    return forward(model, recent[-model.context_length :])

@@ -8,11 +8,14 @@ each section's frames into one feature vector by arithmetic mean.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .catalog import Catalog, Segment, Track
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -133,13 +136,21 @@ def segment_track(track: Track, params: SegmentationParams | None = None) -> Tra
 
     Returns a new track whose ``segments`` hold one entry per section: the
     section's first frame index plus the mean of its frames clamped to [0, 1].
+    A track shorter than the kernel has no novelty curve and becomes a single
+    section at frame 0.
     """
     params = params or SegmentationParams()
     if track.num_frames < 1:
         raise ValueError(f"track '{track.id}' has no frames")
-    matrix = self_similarity(track.frames)
-    novelty = novelty_curve(matrix, params)
-    boundaries = [0] + pick_peaks(novelty, params) + [track.num_frames]
+    if track.num_frames < params.kernel_size:
+        logger.info(
+            "track '%s': %d frames, fewer than kernel size %d; kept as one section",
+            track.id, track.num_frames, params.kernel_size,
+        )
+        boundaries = [0, track.num_frames]
+    else:
+        novelty = novelty_curve(self_similarity(track.frames), params)
+        boundaries = [0] + pick_peaks(novelty, params) + [track.num_frames]
     segments = []
     for start, end in zip(boundaries[:-1], boundaries[1:]):
         features = np.clip(track.frames[start:end].mean(axis=0), 0.0, 1.0)

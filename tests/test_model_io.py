@@ -1,6 +1,7 @@
 """Binary model persistence: lossless round trips and corruption detection."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,6 +51,36 @@ class TestRoundTrip:
         assert first.read_bytes() == second.read_bytes()
 
 
+def per_gate_file(model):
+    """SGM1 bytes written block by block from explicit slices of the fused arrays."""
+    hidden = model.hidden_size
+    data = b"SGM1" + struct.pack(
+        "<4I", model.num_layers, hidden, model.dimension, model.context_length or 0
+    )
+    blocks = []
+    for layer in model.layers:
+        in_dim = layer.weight.shape[1] - hidden
+        for k in range(4):
+            rows = layer.weight[k * hidden : (k + 1) * hidden]
+            blocks += [rows[:, :in_dim], rows[:, in_dim:], layer.bias[k * hidden : (k + 1) * hidden]]
+    for block in blocks + [model.w_out, model.b_out]:
+        data += struct.pack("<I", block.size) + np.ascontiguousarray(block, dtype="<f8").tobytes()
+    return data
+
+
+class TestFileLayout:
+    def test_save_writes_per_gate_blocks_in_canonical_order(self, small_model, tmp_path):
+        path = tmp_path / "model.sgm"
+        small_model.context_length = 6
+        save_model(small_model, path)
+        assert path.read_bytes() == per_gate_file(small_model)
+
+    def test_per_gate_file_loads_into_the_fused_layout(self, small_model, tmp_path):
+        path = tmp_path / "model.sgm"
+        path.write_bytes(per_gate_file(small_model))
+        assert load_model(path).equals(small_model)
+
+
 class TestCorruption:
     def test_version_mismatch(self, small_model, tmp_path):
         path = tmp_path / "model.sgm"
@@ -85,6 +116,18 @@ class TestCorruption:
         with pytest.raises(ModelCorruptError, match="trailing"):
             load_model(path)
 
+    def test_huge_layer_count_raises_without_allocating(self, tmp_path):
+        path = tmp_path / "model.sgm"
+        path.write_bytes(b"SGM1" + struct.pack("<4I", 2**32 - 1, 512, 50, 0))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModelCorruptError, match="layers"):
+                load_model(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
     def test_not_a_model_file(self, tmp_path):
         path = tmp_path / "model.sgm"
         path.write_bytes(b"definitely not a model")
@@ -115,6 +158,6 @@ class TestStructure:
         assert not clone.equals(small_model)
 
     def test_validate_catches_shape_drift(self, small_model):
-        small_model.layers[1].w_h["forget"] = np.zeros((3, 3))
-        with pytest.raises(ModelShapeError, match="forget"):
+        small_model.layers[1].weight = np.zeros((3, 3))
+        with pytest.raises(ModelShapeError, match="layer1.weight"):
             small_model.validate()

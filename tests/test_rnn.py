@@ -1,5 +1,6 @@
 """LSTM inference against direct-formula oracles and BPTT against finite differences."""
 
+import logging
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from segue.rnn import (
     LstmState,
     TrainConfig,
     TrainingDivergedError,
+    _Adam,
     forward,
     init_model,
     loss_and_gradients,
@@ -36,11 +38,12 @@ def step_oracle(model, x, hidden, cell):
         for unit in range(size):
             pre = {}
             for gate in GATES:
-                acc = float(layer.bias[gate][unit])
+                w_x, w_h, bias = layer.gate(gate)
+                acc = float(bias[unit])
                 for k, value in enumerate(layer_input):
-                    acc += float(layer.w_x[gate][unit][k]) * float(value)
+                    acc += float(w_x[unit][k]) * float(value)
                 for k in range(size):
-                    acc += float(layer.w_h[gate][unit][k]) * float(h_prev[k])
+                    acc += float(w_h[unit][k]) * float(h_prev[k])
                 pre[gate] = acc
             i = scalar_sigmoid(pre["input"])
             f = scalar_sigmoid(pre["forget"])
@@ -109,14 +112,17 @@ class TestInitModel:
     def test_forget_bias_starts_at_one(self):
         model = init_model(2, 6, 4, seed=5)
         for layer in model.layers:
-            np.testing.assert_array_equal(layer.bias["forget"], 1.0)
-            np.testing.assert_array_equal(layer.bias["input"], 0.0)
+            np.testing.assert_array_equal(layer.gate("forget")[2], 1.0)
+            np.testing.assert_array_equal(layer.gate("input")[2], 0.0)
 
     def test_weights_respect_fan_in_bound(self):
         model = init_model(2, 8, 5, seed=1)
-        for name, array in model.parameter_items():
-            if name.endswith(".w_x") or name.endswith(".w_h") or name == "out.w":
-                assert np.abs(array).max() <= 1.0 / np.sqrt(array.shape[1])
+        weights = [model.w_out]
+        for layer in model.layers:
+            for gate in GATES:
+                weights.extend(layer.gate(gate)[:2])
+        for array in weights:
+            assert np.abs(array).max() <= 1.0 / np.sqrt(array.shape[1])
 
 
 class TestLstmStep:
@@ -129,9 +135,9 @@ class TestLstmStep:
 
     def test_saturated_gates_flush_the_cell(self):
         model = zeroed(init_model(1, 4, 2, seed=0))
-        model.layers[0].bias["input"][...] = 10.0
-        model.layers[0].bias["output"][...] = 10.0
-        model.layers[0].bias["forget"][...] = -10.0
+        model.layers[0].gate("input")[2][...] = 10.0
+        model.layers[0].gate("output")[2][...] = 10.0
+        model.layers[0].gate("forget")[2][...] = -10.0
         state = LstmState(hidden=[np.zeros(4)], cell=[np.ones(4)])
         h, new_state = lstm_step(np.array([0.5, 0.5]), state, model)
         # candidate stays tanh(0) = 0, so the old cell is forgotten almost entirely
@@ -222,11 +228,14 @@ class TestLossAndGradients:
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(7)
         model = init_model(2, 3, 2, seed=7)
-        window = rng.uniform(0, 1, (3, 2))
-        window[0] = 0.0
-        mask = np.array([False, True, True])
-        target = rng.uniform(0, 1, 2)
-        batch = [TrainingPair(window, mask, target)]
+        # left-padded, interior gap, fully masked
+        masks = [[False, True, True], [True, False, True], [False, False, False]]
+        batch = []
+        for mask in masks:
+            mask = np.array(mask)
+            window = rng.uniform(0, 1, (3, 2))
+            window[~mask] = 0.0
+            batch.append(TrainingPair(window, mask, rng.uniform(0, 1, 2)))
         _, grads = loss_and_gradients(model, batch)
         step = 1e-5
         worst = 0.0
@@ -263,6 +272,57 @@ class TestLossAndGradients:
         pair = TrainingPair(np.zeros((2, 2)), np.ones(2, dtype=bool), np.zeros(2))
         with pytest.raises(TrainingDivergedError):
             loss_and_gradients(model, [pair])
+
+
+def random_mask(rng, length, kind):
+    """A mask of one of the shapes the batched path must handle."""
+    if kind == "left_padded":
+        mask = np.zeros(length, dtype=bool)
+        mask[int(rng.integers(0, length)) :] = True
+        return mask
+    if kind == "gaps":
+        return rng.uniform(size=length) < 0.5
+    return np.full(length, kind == "all_real")
+
+
+def random_batch(rng, length, dimension, size):
+    kinds = ["left_padded", "gaps", "fully_masked", "all_real"]
+    batch = []
+    for index in range(size):
+        mask = random_mask(rng, length, kinds[index % 4] if index < 4 else str(rng.choice(kinds)))
+        window = rng.uniform(0, 1, (length, dimension))
+        window[~mask] = 0.0
+        batch.append(TrainingPair(window, mask, rng.uniform(0, 1, dimension)))
+    return batch
+
+
+class TestBatchedPath:
+    """The lockstep batch agrees with the same items run one at a time."""
+
+    @staticmethod
+    def configurations():
+        rng = np.random.default_rng(2024)
+        for _ in range(12):
+            layers, hidden, dim = int(rng.integers(1, 4)), int(rng.integers(1, 7)), int(rng.integers(1, 5))
+            length, size = int(rng.integers(1, 7)), int(rng.integers(1, 9))
+            model = init_model(layers, hidden, dim, seed=int(rng.integers(1000)))
+            yield model, random_batch(rng, length, dim, size)
+
+    def test_loss_and_gradients_equal_mean_of_single_items(self):
+        for model, batch in self.configurations():
+            loss, grads = loss_and_gradients(model, batch)
+            singles = [loss_and_gradients(model, [pair]) for pair in batch]
+            assert loss == pytest.approx(np.mean([one for one, _ in singles]), rel=1e-12, abs=1e-15)
+            for name in grads:
+                mean = sum(single[name] for _, single in singles) / len(batch)
+                np.testing.assert_allclose(grads[name], mean, rtol=0, atol=1e-12)
+
+    def test_forward_on_batch_equals_per_window_forward(self):
+        for model, batch in self.configurations():
+            windows = np.stack([pair.window for pair in batch])
+            masks = np.stack([pair.mask for pair in batch])
+            each = np.stack([forward(model, pair.window, pair.mask) for pair in batch])
+            np.testing.assert_allclose(forward(model, windows, masks), each, rtol=0, atol=1e-12)
 
 
 def toy_pairs(count=30, context=8, dimension=6, seed=3):
@@ -334,11 +394,45 @@ class TestTrain:
             train(model, [pair], TrainConfig(context_length=2, epochs=3))
         assert info.value.epoch == 1
 
+    def test_logs_one_progress_line_per_epoch(self, caplog):
+        pairs = toy_pairs(count=6, context=3, dimension=4, seed=4)
+        config = TrainConfig(context_length=3, epochs=3, batch_size=4, seed=4, clip_norm=1e-6)
+        with caplog.at_level(logging.INFO, logger="segue.rnn"):
+            _, report = train(init_model(2, 4, 4, seed=4), pairs, config)
+        lines = [r.getMessage() for r in caplog.records if r.name == "segue.rnn"]
+        assert len(lines) == 3
+        for epoch, (line, loss) in enumerate(zip(lines, report.epoch_losses), start=1):
+            assert line.startswith(f"epoch {epoch}/3 loss={loss:.6g} grad_norm_max=")
+            assert "clipped=2/2 seconds=" in line
+
     def test_sgd_optimizer_also_learns(self):
         pairs = toy_pairs(count=20, context=4, dimension=4, seed=8)
         config = TrainConfig(context_length=4, epochs=30, optimizer="sgd", learning_rate=0.5, seed=8)
         _, report = train(init_model(2, 8, 4, seed=8), pairs, config)
         assert report.final_loss < report.epoch_losses[0]
+
+
+class TestAdam:
+    def test_in_place_update_matches_out_of_place_formula_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        # the largest array spans several in-place slices
+        shapes = {"w": (12, 7), "b": (5,), "big": (3 * _Adam.chunk + 11,)}
+        params = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+        expected = {name: array.copy() for name, array in params.items()}
+        m = {name: np.zeros(shape) for name, shape in shapes.items()}
+        v = {name: np.zeros(shape) for name, shape in shapes.items()}
+        lr, beta1, beta2, eps = 3e-3, 0.9, 0.999, 1e-8
+        opt = _Adam(params, lr, beta1, beta2, eps)
+        for step in range(1, 6):
+            grads = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+            opt.update(params, grads)
+            for name, g in grads.items():
+                m[name] = beta1 * m[name] + (1.0 - beta1) * g
+                v[name] = beta2 * v[name] + (1.0 - beta2) * g * g
+                m_hat = m[name] / (1.0 - beta1**step)
+                v_hat = v[name] / (1.0 - beta2**step)
+                expected[name] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+                np.testing.assert_array_equal(params[name], expected[name])
 
 
 class TestPredictNext:

@@ -1,17 +1,19 @@
 """Segmentation against brute-force oracles and planted block structure."""
 
+import logging
 import math
 
 import numpy as np
 import pytest
 
 from conftest import one_hot_block_track
-from segue.catalog import Track
+from segue.catalog import Catalog, Track
 from segue.segmentation import (
     SegmentationParams,
     checkerboard_kernel,
     novelty_curve,
     pick_peaks,
+    segment_catalog,
     segment_track,
     self_similarity,
 )
@@ -222,6 +224,27 @@ class TestSegmentTrack:
             self_similarity(noisy.frames), self_similarity(permuted.frames), atol=1e-12
         )
 
-    def test_single_frame_track_rejected(self):
-        with pytest.raises(ValueError, match="frames"):
-            segment_track(Track(id="t", frames=np.array([[0.5]])))
+    def test_single_frame_track_becomes_one_section(self):
+        track = segment_track(Track(id="t", frames=np.array([[0.5, 1.0]])))
+        assert [seg.start for seg in track.segments] == [0]
+        np.testing.assert_array_equal(track.segments[0].features, [0.5, 1.0])
+
+    def test_track_shorter_than_kernel_becomes_one_logged_section(self, caplog):
+        frames = np.random.default_rng(43).uniform(0, 1, (10, 4))
+        with caplog.at_level(logging.INFO, logger="segue.segmentation"):
+            track = segment_track(Track(id="short-one", frames=frames), SegmentationParams(kernel_size=16))
+        assert [seg.start for seg in track.segments] == [0]
+        np.testing.assert_array_equal(track.segments[0].features, np.clip(frames.mean(axis=0), 0, 1))
+        assert [r.levelno for r in caplog.records if "short-one" in r.getMessage()] == [logging.INFO]
+
+    def test_short_tracks_do_not_abort_the_catalog(self):
+        long_track, planted = one_hot_block_track("long", [0, 1], [20, 20], dimension=3)
+        catalog = Catalog.from_tracks([
+            long_track,
+            Track(id="one", frames=np.array([[0.1, 0.2, 0.3]])),
+            Track(id="ten", frames=np.tile([0.4, 0.5, 0.6], (10, 1))),
+        ])
+        segmented = segment_catalog(catalog)
+        assert segmented.track_ids == ["long", "one", "ten"]
+        assert [seg.start for seg in segmented.tracks["long"].segments] == [0] + planted
+        assert [len(segmented.tracks[t].segments) for t in ("one", "ten")] == [1, 1]

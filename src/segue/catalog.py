@@ -35,6 +35,22 @@ class CatalogError(ValueError):
 
 
 @dataclass(frozen=True)
+class StandardizationStats:
+    """Per-dimension mean and population standard deviation of segment vectors."""
+
+    mean: np.ndarray
+    std: np.ndarray
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """Map original-space vectors to z-scores, flooring tiny deviations."""
+        return (values - self.mean) / np.maximum(self.std, STD_FLOOR)
+
+    def invert(self, values: np.ndarray) -> np.ndarray:
+        """Map z-scored vectors back to the original space."""
+        return self.mean + np.maximum(self.std, STD_FLOOR) * values
+
+
+@dataclass(frozen=True)
 class Segment:
     """One structural section of a track.
 
@@ -82,9 +98,7 @@ class Catalog:
 
     dimension: int
     tracks: dict[str, Track]
-    standardized: bool = False
-    feature_mean: np.ndarray | None = None
-    feature_std: np.ndarray | None = None
+    stats: StandardizationStats | None = None  # set when segment vectors are z-scores
 
     def __len__(self) -> int:
         return len(self.tracks)
@@ -103,16 +117,14 @@ class Catalog:
     def is_segmented(self) -> bool:
         return len(self.tracks) > 0 and all(t.is_segmented for t in self)
 
-    def to_original_space(self, values: np.ndarray) -> np.ndarray:
-        """Map vectors from this catalog's segment-feature space back to [0, 1].
+    @property
+    def standardized(self) -> bool:
+        return self.stats is not None
 
-        Identity for unstandardized catalogs; otherwise inverts the per-dimension
-        z-score with the same ``STD_FLOOR`` clamp used when standardizing.
-        """
-        if not self.standardized:
-            return values
-        assert self.feature_mean is not None and self.feature_std is not None
-        return self.feature_mean + np.maximum(self.feature_std, STD_FLOOR) * values
+    def to_original_space(self, values: np.ndarray) -> np.ndarray:
+        """Map vectors from this catalog's segment-feature space back to [0, 1]
+        (the identity for an unstandardized catalog)."""
+        return values if self.stats is None else self.stats.invert(values)
 
     @classmethod
     def from_tracks(cls, tracks: Iterable[Track], check_range: bool = True) -> "Catalog":

@@ -18,27 +18,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .catalog import STD_FLOOR, Catalog, Segment, Track
+from .catalog import Catalog, Segment, StandardizationStats, Track
 
 STRONG_LEVEL = 0.8
 WEAK_LEVEL = 0.1
 FLUCTUATION_RANGE = (0.2, 0.8)
-
-
-@dataclass(frozen=True)
-class StandardizationStats:
-    """Per-dimension mean and population standard deviation of segment vectors."""
-
-    mean: np.ndarray
-    std: np.ndarray
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """Map original-space vectors to z-scores, flooring tiny deviations."""
-        return (values - self.mean) / np.maximum(self.std, STD_FLOOR)
-
-    def invert(self, values: np.ndarray) -> np.ndarray:
-        """Map z-scored vectors back to the original space."""
-        return self.mean + np.maximum(self.std, STD_FLOOR) * values
 
 
 def fit_standardizer(catalog: Catalog) -> StandardizationStats:
@@ -65,11 +49,7 @@ def standardize_catalog(catalog: Catalog, stats: StandardizationStats | None = N
         ]
         tracks[track.id] = replace(track, segments=segments)
     return replace(
-        catalog,
-        tracks=tracks,
-        standardized=True,
-        feature_mean=stats.mean.copy(),
-        feature_std=stats.std.copy(),
+        catalog, tracks=tracks, stats=StandardizationStats(stats.mean.copy(), stats.std.copy())
     )
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .catalog import Catalog
 from .model import SequenceModel
 from .rnn import predict_next
-from .similarity import Metric, NeighbourGap, cosine_distance, nearest_neighbour_gap, rank_candidates
+from .similarity import Metric, NeighbourGap, cosine_distance, nearest_neighbour_gap
 
 logger = logging.getLogger(__name__)
 
@@ -137,10 +137,7 @@ def generate(
             )
             break
         prediction = predict_next(model, np.stack(history))
-        exclude = frozenset(chosen)
-        ranked = rank_candidates(prediction, catalog, metric, exclude=exclude)
-        gap = nearest_neighbour_gap(prediction, catalog, metric, exclude=exclude)
-        best_id, best_score = ranked.best
+        gap = nearest_neighbour_gap(prediction, catalog, metric, exclude=frozenset(chosen))
         event = gap.no_near_neighbour(nn_threshold)
         if event:
             logger.info(
@@ -150,14 +147,14 @@ def generate(
         steps.append(
             PlaylistStep(
                 prediction=prediction,
-                chosen_id=best_id,
-                chosen_score=best_score,
+                chosen_id=gap.best_id,
+                chosen_score=gap.best_score,
                 gap=gap,
                 no_near_neighbour=event,
             )
         )
-        chosen.append(best_id)
-        history.extend(seg.features for seg in catalog.tracks[best_id].segments)
+        chosen.append(gap.best_id)
+        history.extend(seg.features for seg in catalog.tracks[gap.best_id].segments)
     return Playlist(track_ids=chosen, steps=steps, metric=metric, seed_id=seed_id, truncated=truncated)
 
 

@@ -2,6 +2,13 @@
 top-weighted DCG similarity, plus ranking of catalog start segments against a
 predicted feature vector.
 
+Each measure is written once, in ``_scores``, which scores a stack of rows
+against one prediction; the scalar functions are one-row calls into it. It
+reduces row-wise (elementwise product, then a sum along each row), never with
+``@``: BLAS ``gemv`` may round a row differently depending on the rows around
+it, while a row-wise sum gives a row the same bits alone or stacked, so a
+catalog-wide ranking equals scoring the candidates one at a time, exactly.
+
 All comparisons happen in the original [0, 1] feature space: when a catalog is
 standardized, both the prediction and the candidates' start segments are
 mapped back through the catalog's stored statistics before scoring.
@@ -79,25 +86,12 @@ def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
 
     A zero-norm argument compares as maximally dissimilar (distance 1).
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    norm_a = float(np.linalg.norm(a))
-    norm_b = float(np.linalg.norm(b))
-    if norm_a == 0.0 or norm_b == 0.0:
-        logger.debug("cosine distance against a zero-norm vector; reporting 1.0")
-        return 1.0
-    return float(np.clip(1.0 - float(a @ b) / (norm_a * norm_b), 0.0, 2.0))
+    return score(a, b, Metric("cosine"))
 
 
 def l2_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Euclidean distance."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
+    return score(a, b, Metric("l2"))
 
 
 def dcg_similarity(pred: np.ndarray, candidate: np.ndarray, depth: int | None = None) -> float:
@@ -108,27 +102,43 @@ def dcg_similarity(pred: np.ndarray, candidate: np.ndarray, depth: int | None = 
     1 / log2(i + 1) for i = 1..depth. Only the prediction's ordering matters,
     so positive rescaling of the prediction never changes scores.
     """
-    pred = np.asarray(pred, dtype=np.float64)
-    candidate = np.asarray(candidate, dtype=np.float64)
-    if pred.shape != candidate.shape:
-        raise ValueError(f"dimension mismatch: {pred.shape} vs {candidate.shape}")
-    dim = pred.shape[0]
-    if depth is None:
-        depth = dim
-    if not 1 <= depth <= dim:
-        raise ValueError(f"dcg depth {depth} outside [1, {dim}]")
-    order = np.argsort(-pred, kind="stable")[:depth]
-    discounts = 1.0 / np.log2(np.arange(1, depth + 1) + 1.0)
-    return float(candidate[order] @ discounts)
+    if depth is not None and depth < 1:
+        raise ValueError(f"dcg depth {depth} outside [1, {np.shape(pred)[-1]}]")
+    return score(pred, candidate, Metric("dcg", depth))
 
 
 def score(pred: np.ndarray, candidate: np.ndarray, metric: Metric) -> float:
     """Score one candidate under the metric (orientation per ``metric.higher_is_better``)."""
-    if metric.kind == "cosine":
-        return cosine_distance(pred, candidate)
+    pred = np.asarray(pred, dtype=np.float64)
+    candidate = np.asarray(candidate, dtype=np.float64)
+    if pred.shape != candidate.shape:
+        raise ValueError(f"dimension mismatch: {pred.shape} vs {candidate.shape}")
+    return float(_scores(pred, candidate[None, :], metric)[0])
+
+
+def _scores(pred: np.ndarray, rows: np.ndarray, metric: Metric) -> np.ndarray:
+    """Score each row of the C-ordered (M, D) ``rows`` against ``pred``; shape (M,).
+
+    ``np.take`` keeps the DCG gather C-ordered: ``rows[:, order]`` would be
+    column-major, and numpy sums such rows in another order than one row.
+    """
     if metric.kind == "l2":
-        return l2_distance(pred, candidate)
-    return dcg_similarity(pred, candidate, metric.dcg_depth)
+        diff = rows - pred
+        return np.sqrt((diff * diff).sum(axis=1))
+    if metric.kind == "cosine":
+        norms = np.sqrt((rows * rows).sum(axis=1)) * np.sqrt((pred * pred).sum())
+        if not norms.all():
+            logger.debug("cosine distance against a zero-norm vector; reporting 1.0")
+        dots = (rows * pred).sum(axis=1)
+        cosines = np.divide(dots, norms, out=np.zeros_like(dots), where=norms != 0.0)
+        return np.clip(1.0 - cosines, 0.0, 2.0)
+    dim = pred.shape[0]
+    depth = dim if metric.dcg_depth is None else metric.dcg_depth
+    if depth > dim:
+        raise ValueError(f"dcg depth {depth} outside [1, {dim}]")
+    order = np.argsort(-pred, kind="stable")[:depth]
+    discounts = 1.0 / np.log2(np.arange(1, depth + 1) + 1.0)
+    return (np.take(rows, order, axis=1) * discounts).sum(axis=1)
 
 
 def rank_candidates(
@@ -143,10 +153,8 @@ def rank_candidates(
     the original [0, 1] space. Ties break by ascending track id, so rankings
     are deterministic.
     """
-    scored = _score_candidates(pred, catalog, metric, exclude)
-    reverse = metric.higher_is_better
-    ordered = sorted(scored, key=lambda item: (-item[1] if reverse else item[1], item[0]))
-    return RankedCandidates(entries=ordered, metric=metric)
+    ids, scores, _, _ = _ranked(pred, catalog, metric, exclude)
+    return RankedCandidates(entries=list(zip(ids.tolist(), scores.tolist())), metric=metric)
 
 
 def nearest_neighbour_gap(
@@ -156,39 +164,37 @@ def nearest_neighbour_gap(
     exclude: frozenset[str] | set[str] = frozenset(),
 ) -> NeighbourGap:
     """Diagnose whether the prediction has a near neighbour among the candidates."""
-    scored = _score_candidates(pred, catalog, metric, exclude)
-    reverse = metric.higher_is_better
-    ordered = sorted(scored, key=lambda item: (-item[1] if reverse else item[1], item[0]))
-    best_id, best_score = ordered[0]
-    median = float(np.median([s for _, s in scored]))
-    margin = best_score - median if reverse else median - best_score
-    pred_orig = catalog.to_original_space(np.asarray(pred, dtype=np.float64))
-    best_cosine = min(
-        cosine_distance(pred_orig, catalog.to_original_space(catalog.tracks[tid].start_segment()))
-        for tid, _ in scored
-    )
+    ids, scores, pred_orig, starts = _ranked(pred, catalog, metric, exclude)
+    best_score = float(scores[0])
+    median = float(np.median(scores))
+    margin = best_score - median if metric.higher_is_better else median - best_score
+    cosine = scores if metric.kind == "cosine" else _scores(pred_orig, starts, Metric("cosine"))
     return NeighbourGap(
-        best_id=best_id,
+        best_id=str(ids[0]),
         best_score=best_score,
         median_score=median,
         margin=margin,
-        best_cosine_distance=best_cosine,
+        best_cosine_distance=float(cosine.min()),
     )
 
 
-def _score_candidates(
-    pred: np.ndarray,
-    catalog: Catalog,
-    metric: Metric,
-    exclude: frozenset[str] | set[str],
-) -> list[tuple[str, float]]:
+def _ranked(
+    pred: np.ndarray, catalog: Catalog, metric: Metric, exclude: frozenset[str] | set[str]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Score the non-excluded start sections once, in the original space.
+
+    Returns ids and scores best first (ties by ascending id), then the
+    prediction and the start-section stack mapped to the original space.
+    """
+    pred = np.asarray(pred, dtype=np.float64)
+    if pred.shape != (catalog.dimension,):
+        raise ValueError(f"dimension mismatch: {pred.shape} vs catalog dimension {catalog.dimension}")
     candidates = [track for track in catalog if track.id not in exclude]
     if not candidates:
         raise ValueError("no candidate tracks remain")
-    pred_orig = catalog.to_original_space(np.asarray(pred, dtype=np.float64))
-    if metric.kind == "dcg" and metric.dcg_depth is not None and metric.dcg_depth > catalog.dimension:
-        raise ValueError(f"dcg depth {metric.dcg_depth} exceeds catalog dimension {catalog.dimension}")
-    return [
-        (track.id, score(pred_orig, catalog.to_original_space(track.start_segment()), metric))
-        for track in candidates
-    ]
+    ids = np.array([track.id for track in candidates])
+    starts = catalog.to_original_space(np.stack([track.start_segment() for track in candidates]))
+    pred = catalog.to_original_space(pred)
+    scores = _scores(pred, starts, metric)
+    order = np.lexsort((ids, -scores if metric.higher_is_better else scores))
+    return ids[order], scores[order], pred, starts

@@ -1,11 +1,14 @@
 """CLI pipeline: subcommands, exit codes, and byte-level reproducibility."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import segue
 from segue import cli
 from segue.rnn import TrainingDivergedError
 
@@ -191,8 +194,12 @@ class TestHelp:
         assert "512" in out and "50" in out
 
     def test_module_entry_point(self):
+        # the child imports the same package as this test, installed or not
+        source = str(Path(segue.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
-            [sys.executable, "-m", "segue", "--help"], capture_output=True, text=True
+            [sys.executable, "-m", "segue", "--help"], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert result.returncode == 0
         assert "segue" in result.stdout

@@ -59,7 +59,7 @@ class TestStandardizer:
         })
         standardized = standardize_catalog(catalog)
         assert standardized.standardized
-        assert standardized.feature_mean is not None
+        assert standardized.stats is not None
         original = catalog.tracks["a"].segments[0].features
         recovered = standardized.to_original_space(standardized.tracks["a"].segments[0].features)
         np.testing.assert_allclose(recovered, original, atol=1e-9)

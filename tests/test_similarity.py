@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from conftest import segmented_catalog
+from segue.features import standardize_catalog
 from segue.similarity import (
     Metric,
+    NeighbourGap,
     cosine_distance,
     dcg_similarity,
     l2_distance,
@@ -188,6 +190,30 @@ class TestRankCandidates:
         with pytest.raises(ValueError, match="no candidate"):
             rank_candidates(np.zeros(6), catalog, Metric("l2"), exclude=set(catalog.track_ids))
 
+    def test_wrong_length_prediction_rejected(self, catalog):
+        for candidates in (catalog, standardize_catalog(catalog)):
+            for bad in (np.zeros(5), np.zeros(7)):
+                with pytest.raises(ValueError, match="mismatch"):
+                    rank_candidates(bad, candidates, Metric("cosine"))
+                with pytest.raises(ValueError, match="mismatch"):
+                    nearest_neighbour_gap(bad, candidates, Metric("cosine"))
+
+    def test_standardized_catalog_ranks_in_original_space(self, catalog):
+        """Ranking a standardized catalog = ranking the original with the mapped prediction."""
+        standardized = standardize_catalog(catalog)
+        rng = np.random.default_rng(13)
+        for metric in (Metric("cosine"), Metric("l2"), Metric("dcg"), Metric("dcg", dcg_depth=2)):
+            pred = rng.standard_normal(6)
+            ranked = rank_candidates(pred, standardized, metric, exclude={"t03"}).entries
+            expected = rank_candidates(
+                standardized.to_original_space(pred), catalog, metric, exclude={"t03"}
+            ).entries
+            assert [tid for tid, _ in ranked] == [tid for tid, _ in expected]
+            np.testing.assert_allclose(
+                [value for _, value in ranked], [value for _, value in expected],
+                rtol=1e-12, atol=1e-12,
+            )
+
 
 class TestNearestNeighbourGap:
     def test_exact_neighbour_has_zero_distance(self):
@@ -228,3 +254,66 @@ class TestNearestNeighbourGap:
         assert gap.best_id == "near"
         assert gap.margin == pytest.approx(gap.median_score - gap.best_score)
         assert gap.margin > 0
+
+    def test_no_candidates_rejected(self):
+        catalog = segmented_catalog({"a": np.array([[0.2, 0.8]]), "b": np.array([[0.8, 0.2]])})
+        with pytest.raises(ValueError, match="no candidate"):
+            nearest_neighbour_gap(np.array([0.5, 0.5]), catalog, Metric("l2"), exclude={"a", "b"})
+
+
+def brute_force_gap(pred, catalog, metric, exclude):
+    """Score candidates one at a time in the original space, then sort, take the median."""
+    pred = catalog.to_original_space(pred)
+    starts = {
+        track.id: catalog.to_original_space(track.start_segment())
+        for track in catalog
+        if track.id not in exclude
+    }
+    rows = [(track_id, score(pred, start, metric)) for track_id, start in starts.items()]
+    reverse = metric.higher_is_better
+    ordered = sorted(rows, key=lambda item: (-item[1] if reverse else item[1], item[0]))
+    best_id, best_score = ordered[0]
+    median = float(np.median([value for _, value in rows]))
+    gap = NeighbourGap(
+        best_id=best_id,
+        best_score=best_score,
+        median_score=median,
+        margin=best_score - median if reverse else median - best_score,
+        best_cosine_distance=min(cosine_distance(pred, start) for start in starts.values()),
+    )
+    return ordered, gap
+
+
+def test_one_pass_ranking_matches_scoring_one_candidate_at_a_time():
+    """Seeded cases: shapes, exclusions, duplicate and all-zero starts, standardized catalogs."""
+    rng = np.random.default_rng(14)
+    for case in range(50):
+        dim = int(rng.integers(2, 51))
+        count = int(rng.integers(1, 41))
+        vectors = {
+            f"t{i:02d}": rng.uniform(0, 1, (int(rng.integers(1, 4)), dim)) for i in range(count)
+        }
+        ids = list(vectors)
+        rng.shuffle(ids)  # catalog order is not id order
+        vectors = {track_id: vectors[track_id] for track_id in ids}
+        if count > 2:
+            vectors[ids[1]][0] = vectors[ids[0]][0]  # duplicate start: ties break by id
+            vectors[ids[2]][0] = 0.0  # all-zero start: cosine distance 1
+        catalog = segmented_catalog(vectors)
+        if case % 3 == 0 and sum(len(v) for v in vectors.values()) >= 2:
+            catalog = standardize_catalog(catalog)
+        exclude = {track_id for track_id in ids[1:] if rng.uniform() < 0.3}
+        if case % 5 == 0:
+            pred = catalog.tracks[ids[0]].start_segment().copy()
+        elif catalog.standardized:
+            pred = rng.standard_normal(dim)
+        else:
+            pred = rng.uniform(0, 1, dim)
+        depth = int(rng.integers(1, dim + 1))
+        for metric in (Metric("cosine"), Metric("l2"), Metric("dcg"), Metric("dcg", depth)):
+            ordered, expected = brute_force_gap(pred, catalog, metric, exclude)
+            gap = nearest_neighbour_gap(pred, catalog, metric, exclude=exclude)
+            ranked = rank_candidates(pred, catalog, metric, exclude=exclude)
+            assert gap == expected, (case, metric)
+            assert ranked.entries == ordered, (case, metric)
+            assert ranked.best == (gap.best_id, gap.best_score)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import copy
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -184,47 +185,58 @@ def load_model(path: str | Path) -> SequenceModel:
     Raises ``ModelVersionError`` for an unknown format version,
     ``ModelShapeError`` when header and block shapes disagree, and
     ``ModelCorruptError`` for truncated or otherwise unreadable files.
-    Every block is checked before any parameter array is allocated, so the
-    memory a file can claim is bounded by its length.
+    Every block header is checked before any parameter array is allocated,
+    so the memory a file can claim is bounded by its length. The values are
+    then read block by block through one buffer the size of the largest
+    block, so loading needs little more than the model's own memory.
     """
-    data = Path(path).read_bytes()
-    if len(data) < 4 or data[:3] != MAGIC[:3]:
-        raise ModelCorruptError("not a sequence-model file")
-    if data[:4] != MAGIC:
-        raise ModelVersionError(f"unsupported model format version {data[3:4]!r}")
-    if len(data) < _HEADER_BYTES:
-        raise ModelCorruptError("truncated header")
-    num_layers, hidden, dim, context = struct.unpack_from("<4I", data, 4)
-    if num_layers < 1 or hidden < 1 or dim < 1:
-        raise ModelShapeError(f"invalid header (L={num_layers}, H={hidden}, D={dim})")
-    least = _HEADER_BYTES + (12 * num_layers + 2) * (4 + 8)  # a count and a value per block
-    if len(data) < least:
-        raise ModelCorruptError(
-            f"header claims {num_layers} layers: needs {least} bytes, file has {len(data)}"
-        )
-
-    offsets, offset = [], _HEADER_BYTES
-    for name, shape in _block_shapes(num_layers, hidden, dim):
-        if len(data) < offset + 4:
-            raise ModelCorruptError(f"truncated before block '{name}'")
-        (count,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        expected = math.prod(shape)
-        if count != expected:
-            raise ModelShapeError(
-                f"block '{name}': header implies {expected} elements, file records {count}"
+    with Path(path).open("rb") as handle:
+        size = os.fstat(handle.fileno()).st_size
+        head = handle.read(_HEADER_BYTES)
+        if len(head) < 4 or head[:3] != MAGIC[:3]:
+            raise ModelCorruptError("not a sequence-model file")
+        if head[:4] != MAGIC:
+            raise ModelVersionError(f"unsupported model format version {head[3:4]!r}")
+        if len(head) < _HEADER_BYTES:
+            raise ModelCorruptError("truncated header")
+        num_layers, hidden, dim, context = struct.unpack("<4I", head[4:])
+        if num_layers < 1 or hidden < 1 or dim < 1:
+            raise ModelShapeError(f"invalid header (L={num_layers}, H={hidden}, D={dim})")
+        least = _HEADER_BYTES + (12 * num_layers + 2) * (4 + 8)  # a count and a value per block
+        if size < least:
+            raise ModelCorruptError(
+                f"header claims {num_layers} layers: needs {least} bytes, file has {size}"
             )
-        if len(data) < offset + 8 * count:
-            raise ModelCorruptError(f"truncated inside block '{name}'")
-        offsets.append(offset)
-        offset += 8 * count
-    if offset != len(data):
-        raise ModelCorruptError(f"{len(data) - offset} trailing bytes after final block")
 
-    model = SequenceModel.zeros(num_layers, hidden, dim)
-    model.context_length = context or None
-    for block, start in zip(model.blocks(), offsets):
-        block[...] = np.frombuffer(data, "<f8", block.size, start).reshape(block.shape)
+        offset = _HEADER_BYTES
+        for name, shape in _block_shapes(num_layers, hidden, dim):
+            handle.seek(offset)
+            count_bytes = handle.read(4)
+            if len(count_bytes) < 4:
+                raise ModelCorruptError(f"truncated before block '{name}'")
+            (count,) = struct.unpack("<I", count_bytes)
+            offset += 4
+            expected = math.prod(shape)
+            if count != expected:
+                raise ModelShapeError(
+                    f"block '{name}': header implies {expected} elements, file records {count}"
+                )
+            if size < offset + 8 * count:
+                raise ModelCorruptError(f"truncated inside block '{name}'")
+            offset += 8 * count
+        if offset != size:
+            raise ModelCorruptError(f"{size - offset} trailing bytes after final block")
+
+        model = SequenceModel.zeros(num_layers, hidden, dim)
+        model.context_length = context or None
+        buffer = np.empty(max(block.size for block in model.blocks()), dtype="<f8")
+        handle.seek(_HEADER_BYTES)
+        for block in model.blocks():
+            values = buffer[: block.size]
+            handle.seek(4, os.SEEK_CUR)  # the element count, checked above
+            if handle.readinto(values) != values.nbytes:
+                raise ModelCorruptError("file shrank while loading")
+            block[...] = values.reshape(block.shape)
     if any(not np.isfinite(a).all() for _, a in model.parameter_items()):
         raise ModelCorruptError("non-finite parameter value")
     model.validate()

@@ -7,10 +7,13 @@ predictions stay inside the (0, 1) probability range of the feature space.
 
 Windows shorter than the context length are left-padded and carry a boolean
 mask; masked steps are skipped entirely, so padding can never influence the
-prediction. A minibatch runs in lockstep, one fused matrix product per layer
-and step. Loss is the mean squared error between prediction and target,
-averaged over feature dimensions and batch items, and gradients are computed
-by one backpropagation through time over the batch's unmasked steps.
+prediction. A minibatch runs layer by layer: one matrix product applies a
+layer's input weights to all unmasked (item, step) positions, then each step
+adds only the product of the recurrent weights with the hidden state of the
+items active there. Loss is the mean squared error between prediction and
+target, averaged over feature dimensions and batch items, and gradients are
+computed by one backpropagation through time over the batch's unmasked
+steps, again layer by layer.
 """
 
 from __future__ import annotations
@@ -76,10 +79,17 @@ class LstmState:
     cell: list[np.ndarray]
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    expx = np.exp(-np.abs(x))  # exp(-x) where x >= 0, else exp(x)
-    return np.where(x >= 0, 1.0, expx) / (1.0 + expx)
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Numerically stable logistic function; ``out`` may be ``x`` itself."""
+    negative = x < 0
+    expx = np.abs(x)
+    np.exp(np.negative(expx, out=expx), out=expx)  # exp(-x) where x >= 0, else exp(x)
+    if out is None:
+        out = np.empty_like(expx)
+    out[...] = 1.0
+    np.copyto(out, expx, where=negative)
+    expx += 1.0
+    return np.divide(out, expx, out=out)
 
 
 def init_model(
@@ -111,50 +121,62 @@ def zero_state(model: SequenceModel) -> LstmState:
     )
 
 
-def _lockstep(
-    model: SequenceModel, x: np.ndarray, hidden: list, cell: list, tape: list | None = None
-) -> None:
-    """Advance every layer one step for the (B, D) input ``x``, replacing the (B, H) states.
-
-    With a ``tape``, appends per layer what backpropagation needs:
-    ([input, previous hidden], gates, previous cell, tanh of the new cell).
-    """
-    sigmoid_rows = 3 * model.hidden_size  # input, forget, output; then candidate
-    for index, layer in enumerate(model.layers):
-        xh = np.concatenate([x, hidden[index]], axis=1)
-        gates = xh @ layer.weight.T + layer.bias
-        gates[:, :sigmoid_rows] = sigmoid(gates[:, :sigmoid_rows])
-        np.tanh(gates[:, sigmoid_rows:], out=gates[:, sigmoid_rows:])
-        i, f, o, g = np.split(gates, 4, axis=1)
-        c = f * cell[index] + i * g
-        tanh_c = np.tanh(c)
-        if tape is not None:
-            tape.append((xh, gates, cell[index], tanh_c))
-        hidden[index], cell[index] = o * tanh_c, c
-        x = hidden[index]
-
-
 def _run(
-    model: SequenceModel, windows: np.ndarray, masks: np.ndarray, tape: list | None = None
-) -> np.ndarray:
-    """Run (B, N, D) windows with (B, N) masks in lockstep from the zero state; returns (B, H).
+    model: SequenceModel,
+    windows: np.ndarray,
+    masks: np.ndarray,
+    state: LstmState | None = None,
+    tape: list | None = None,
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Run (B, N, D) windows with (B, N) masks layer by layer; returns the final (B, H)
+    hidden and cell states of every layer.
 
-    Only the items unmasked at a step advance; the others keep their state, as
-    ``where(mask, new, previous)`` would, without computing their rows. Steps
-    masked for every item are skipped. A ``tape`` gets (rows, caches) per step.
+    Every item starts from ``state`` (zeros when None). Only the unmasked
+    (item, step) positions are computed, so masked steps leave an item's
+    state as it was. Each layer applies its input weights to all positions in
+    one product and then walks the steps, adding only the recurrent product
+    of the rows active there; its outputs at every position are the next
+    layer's inputs. A ``tape`` gets the positions, then per layer
+    ([input, previous hidden], gates, previous cell, tanh of the new cell),
+    one row per position.
     """
-    shape = (windows.shape[0], model.hidden_size)
-    hidden = [np.zeros(shape) for _ in model.layers]
-    cell = [np.zeros(shape) for _ in model.layers]
-    for t in np.flatnonzero(masks.any(axis=0)):
-        rows = np.flatnonzero(masks[:, t])
-        step_hidden, step_cell, caches = [h[rows] for h in hidden], [c[rows] for c in cell], []
-        _lockstep(model, windows[rows, t], step_hidden, step_cell, caches)
-        for index in range(model.num_layers):
-            hidden[index][rows], cell[index][rows] = step_hidden[index], step_cell[index]
+    steps, items = np.nonzero(masks.T)  # step-major, so a step's positions are contiguous
+    starts = np.flatnonzero(np.diff(steps, prepend=-1)).tolist()
+    spans = list(zip(starts, [*starts[1:], len(steps)]))
+    if tape is not None:
+        tape.append((items, spans))
+    size, count = model.hidden_size, len(windows)
+    x = windows[items, steps]
+    hidden, cell = [], []
+    for index, layer in enumerate(model.layers):
+        n_in = layer.weight.shape[1] - size
+        w_h = layer.weight[:, n_in:].T
+        h, c = np.zeros((2, count, size))
+        if state is not None:
+            h[...], c[...] = state.hidden[index], state.cell[index]
+        xh = np.empty((len(steps), n_in + size))
+        xh[:, :n_in] = x
+        gates = xh[:, :n_in] @ layer.weight[:, :n_in].T
+        gates += layer.bias
+        c_prev, tanh_c, out = np.empty((3, len(steps), size))
+        for lo, hi in spans:
+            rows, z, h_prev = items[lo:hi], gates[lo:hi], xh[lo:hi, n_in:]
+            h_prev[...] = h[rows]
+            c_prev[lo:hi] = c[rows]
+            z += h_prev @ w_h
+            sigmoid(z[:, : 3 * size], out=z[:, : 3 * size])  # input, forget, output
+            np.tanh(z[:, 3 * size :], out=z[:, 3 * size :])  # candidate
+            i, f, o, g = (z[:, k * size : (k + 1) * size] for k in range(4))
+            c_new = f * c_prev[lo:hi]
+            c_new += i * g
+            np.multiply(o, np.tanh(c_new, out=tanh_c[lo:hi]), out=out[lo:hi])
+            h[rows], c[rows] = out[lo:hi], c_new
         if tape is not None:
-            tape.append((rows, caches))
-    return hidden[-1]
+            tape.append((xh, gates, c_prev, tanh_c))
+        hidden.append(h)
+        cell.append(c)
+        x = out
+    return hidden, cell
 
 
 def lstm_step(
@@ -164,8 +186,19 @@ def lstm_step(
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (model.dimension,):
         raise ValueError(f"input shape {x.shape} != ({model.dimension},)")
-    hidden, cell = [h[None] for h in state.hidden], [c[None] for c in state.cell]
-    _lockstep(model, x[None], hidden, cell)
+    if not len(state.hidden) == len(state.cell) == model.num_layers:
+        first = min(len(state.hidden), len(state.cell), model.num_layers)
+        raise ValueError(
+            f"state layer {first}: state has {len(state.hidden)} hidden and {len(state.cell)} "
+            f"cell vectors, model has {model.num_layers} layers"
+        )
+    for index, (h, c) in enumerate(zip(state.hidden, state.cell)):
+        if np.shape(h) != (model.hidden_size,) or np.shape(c) != (model.hidden_size,):
+            raise ValueError(
+                f"state layer {index}: hidden {np.shape(h)} and cell {np.shape(c)} "
+                f"!= ({model.hidden_size},)"
+            )
+    hidden, cell = _run(model, x[None, None], np.ones((1, 1), dtype=bool), state)
     new_state = LstmState(hidden=[h[0] for h in hidden], cell=[c[0] for c in cell])
     return new_state.hidden[-1], new_state
 
@@ -187,7 +220,7 @@ def forward(
     if mask.shape != window.shape[:-1]:
         raise ValueError(f"mask length {mask.shape} != window length {window.shape[:-1]}")
     windows = window.reshape(-1, *window.shape[-2:])
-    h_top = _run(model, windows, mask.reshape(windows.shape[:2]))
+    h_top = _run(model, windows, mask.reshape(windows.shape[:2]))[0][-1]
     return sigmoid(h_top @ model.w_out.T + model.b_out).reshape(*window.shape[:-2], model.dimension)
 
 
@@ -197,7 +230,7 @@ def loss_and_gradients(
     """Mean squared error over a batch plus gradients for every parameter.
 
     Loss is mean over batch items of ||prediction - target||^2 / D. The items
-    run in lockstep and gradients come from one backpropagation through time
+    run together and gradients come from one backpropagation through time
     over the batch's unmasked steps. Raises ``TrainingDivergedError`` if
     anything goes non-finite.
     """
@@ -208,7 +241,7 @@ def loss_and_gradients(
     targets = np.asarray([pair.target for pair in batch], dtype=np.float64)
     batch_size, dim = len(batch), model.dimension
     tape: list = []
-    h_top = _run(model, windows, masks, tape)
+    h_top = _run(model, windows, masks, tape=tape)[0][-1]
     prediction = sigmoid(h_top @ model.w_out.T + model.b_out)
     residual = prediction - targets
     loss = float(np.sum(residual * residual)) / dim / batch_size
@@ -224,33 +257,39 @@ def loss_and_gradients(
 
 
 def _bptt(model: SequenceModel, tape: list, dh_top: np.ndarray, grads: dict) -> None:
-    """Fill the LSTM parameter gradients from a ``_run`` tape, walking steps in reverse.
+    """Fill the LSTM parameter gradients from a ``_run`` tape.
 
-    Gate gradients of all steps are collected per layer, so each weight
-    gradient is one product with the matching cached inputs.
+    Walks the layers top down and, within a layer, the steps in reverse,
+    multiplying only by the recurrent weights per step. Each layer then
+    passes the gradient of its inputs down in one product, and forms its
+    weight gradient in one product with the cached [input, previous hidden].
     """
-    dh = [np.zeros_like(dh_top) for _ in model.layers[1:]] + [dh_top]
-    dc = [np.zeros_like(dh_top) for _ in model.layers]
-    # empty first entries: a tape without steps gives zero gradients
-    dz_steps = [[np.empty((0, layer.weight.shape[0]))] for layer in model.layers]
-    xh_steps = [[np.empty((0, layer.weight.shape[1]))] for layer in model.layers]
-    for rows, caches in reversed(tape):
-        dx_from_above = 0.0
-        for index in reversed(range(model.num_layers)):
-            layer = model.layers[index]
-            xh, gates, c_prev, tanh_c = caches[index]
-            i, f, o, g = np.split(gates, 4, axis=1)
-            d_h = dh[index][rows] + dx_from_above
-            d_c = dc[index][rows] + d_h * o * (1.0 - tanh_c**2)
-            dz = np.concatenate([d_c * g * i * (1.0 - i), d_c * c_prev * f * (1.0 - f),
-                                 d_h * tanh_c * o * (1.0 - o), d_c * i * (1.0 - g**2)], axis=1)
-            dx_from_above, dh[index][rows] = np.split(dz @ layer.weight, [-model.hidden_size], axis=1)
-            dc[index][rows] = d_c * f
-            dz_steps[index].append(dz)
-            xh_steps[index].append(xh)
-    for index in range(model.num_layers):
-        dz = np.concatenate(dz_steps[index])
-        np.dot(dz.T, np.concatenate(xh_steps[index]), out=grads[f"layer{index}.weight"])
+    (items, spans), *layers = tape
+    size = model.hidden_size
+    dh = dh_top.copy()  # per item: gradient with respect to the layer's final hidden state
+    dx = np.zeros((len(items), size))  # per position: gradient with respect to the layer's outputs
+    for index in reversed(range(model.num_layers)):
+        layer = model.layers[index]
+        xh, gates, c_prev, tanh_c = layers[index]
+        w_h = layer.weight[:, -size:]
+        dc = np.zeros_like(dh)
+        dz = np.empty_like(gates)
+        for lo, hi in reversed(spans):
+            rows, z, tc = items[lo:hi], gates[lo:hi], tanh_c[lo:hi]
+            i, f, o, g = (z[:, k * size : (k + 1) * size] for k in range(4))
+            d_h = dh[rows] + dx[lo:hi]
+            d_c = dc[rows] + d_h * o * (1.0 - tc**2)
+            dz_i, dz_f, dz_o, dz_g = (dz[lo:hi, k * size : (k + 1) * size] for k in range(4))
+            np.multiply(d_c * g * i, 1.0 - i, out=dz_i)
+            np.multiply(d_c * c_prev[lo:hi] * f, 1.0 - f, out=dz_f)
+            np.multiply(d_h * tc * o, 1.0 - o, out=dz_o)
+            np.multiply(d_c * i, 1.0 - g**2, out=dz_g)
+            dh[rows] = dz[lo:hi] @ w_h
+            dc[rows] = d_c * f
+        if index > 0:
+            dx = dz @ layer.weight[:, :-size]
+            dh = np.zeros_like(dh)  # only the top layer's final state reaches the loss
+        np.dot(dz.T, xh, out=grads[f"layer{index}.weight"])
         np.sum(dz, axis=0, out=grads[f"layer{index}.bias"])
 
 

@@ -44,6 +44,21 @@ class TestRoundTrip:
         save_model(small_model, path)
         assert load_model(path).context_length is None
 
+    def test_load_reads_block_by_block(self, tmp_path):
+        model = init_model(num_layers=2, hidden_size=64, dimension=16, seed=3)
+        path = tmp_path / "model.sgm"
+        save_model(model, path)
+        size = sum(array.nbytes for _, array in model.parameter_items())
+        tracemalloc.start()
+        try:
+            loaded = load_model(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded.equals(model)
+        # the whole file held beside the arrays would add about one model size
+        assert peak - size < size / 4
+
     def test_double_round_trip_bytes_identical(self, small_model, tmp_path):
         first, second = tmp_path / "a.sgm", tmp_path / "b.sgm"
         save_model(small_model, first)

@@ -81,6 +81,24 @@ def zeroed(model):
     return model
 
 
+def finite_difference_error(model, batch, step=1e-5):
+    """Largest relative gap between the BPTT gradients and central differences of the loss."""
+    _, grads = loss_and_gradients(model, batch)
+    worst = 0.0
+    for name, array in model.parameter_items():
+        flat, grad = array.reshape(-1), grads[name].reshape(-1)
+        for index in range(flat.size):
+            original = flat[index]
+            flat[index] = original + step
+            plus = batch_loss(model, batch)
+            flat[index] = original - step
+            minus = batch_loss(model, batch)
+            flat[index] = original
+            numeric = (plus - minus) / (2 * step)
+            worst = max(worst, abs(grad[index] - numeric) / max(abs(grad[index]) + abs(numeric), 1e-6))
+    return worst
+
+
 def batch_loss(model, batch):
     """Forward-only loss used as the finite-difference target."""
     total = 0.0
@@ -164,6 +182,20 @@ class TestLstmStep:
         with pytest.raises(ValueError, match="shape"):
             lstm_step(np.zeros(5), zero_state(model), model)
 
+    @pytest.mark.parametrize("layers", [1, 3])
+    def test_state_with_wrong_layer_count_rejected(self, layers):
+        model = init_model(2, 3, 2, seed=0)
+        state = LstmState(hidden=[np.zeros(3)] * layers, cell=[np.zeros(3)] * layers)
+        with pytest.raises(ValueError, match=f"state layer {min(layers, 2)}: state has {layers}"):
+            lstm_step(np.zeros(2), state, model)
+
+    def test_state_with_wrong_hidden_size_rejected(self):
+        model = init_model(2, 3, 2, seed=0)
+        state = zero_state(model)
+        state.cell[1] = np.zeros(4)
+        with pytest.raises(ValueError, match=r"state layer 1: .*\(3,\)"):
+            lstm_step(np.zeros(2), state, model)
+
 
 class TestForward:
     def test_zero_output_weights_give_sigmoid_of_bias(self):
@@ -236,21 +268,13 @@ class TestLossAndGradients:
             window = rng.uniform(0, 1, (3, 2))
             window[~mask] = 0.0
             batch.append(TrainingPair(window, mask, rng.uniform(0, 1, 2)))
-        _, grads = loss_and_gradients(model, batch)
-        step = 1e-5
-        worst = 0.0
-        for name, array in model.parameter_items():
-            flat, grad = array.reshape(-1), grads[name].reshape(-1)
-            for index in range(flat.size):
-                original = flat[index]
-                flat[index] = original + step
-                plus = batch_loss(model, batch)
-                flat[index] = original - step
-                minus = batch_loss(model, batch)
-                flat[index] = original
-                numeric = (plus - minus) / (2 * step)
-                worst = max(worst, abs(grad[index] - numeric) / max(abs(grad[index]) + abs(numeric), 1e-6))
-        assert worst <= 1e-4
+        assert finite_difference_error(model, batch) <= 1e-4
+
+    def test_three_layer_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(8)
+        model = init_model(3, 3, 2, seed=8)
+        batch = random_batch(rng, 4, 2, 4)  # left-padded, gapped, fully masked, all real
+        assert finite_difference_error(model, batch) <= 1e-4
 
     def test_duplicated_batch_items_leave_loss_and_gradients_unchanged(self):
         rng = np.random.default_rng(43)
@@ -297,7 +321,7 @@ def random_batch(rng, length, dimension, size):
 
 
 class TestBatchedPath:
-    """The lockstep batch agrees with the same items run one at a time."""
+    """A batch agrees with the same items run one at a time and with the scalar oracle."""
 
     @staticmethod
     def configurations():
@@ -323,6 +347,13 @@ class TestBatchedPath:
             masks = np.stack([pair.mask for pair in batch])
             each = np.stack([forward(model, pair.window, pair.mask) for pair in batch])
             np.testing.assert_allclose(forward(model, windows, masks), each, rtol=0, atol=1e-12)
+
+    def test_forward_on_batch_matches_scalar_oracle(self):
+        for model, batch in self.configurations():
+            windows = np.stack([pair.window for pair in batch])
+            masks = np.stack([pair.mask for pair in batch])
+            oracle = np.stack([forward_oracle(model, pair.window, pair.mask) for pair in batch])
+            np.testing.assert_allclose(forward(model, windows, masks), oracle, rtol=0, atol=1e-12)
 
 
 def toy_pairs(count=30, context=8, dimension=6, seed=3):

@@ -1,6 +1,6 @@
 """Playlist generation from learned within-track feature transitions.
 
-The engine segments each track into structural sections via self-similarity
+The engine segments each track into structural sections via checkerboard
 novelty, trains a stacked LSTM to predict the feature vector of the section
 that should come next, and builds playlists by repeatedly appending the
 candidate track whose start section best matches the prediction under a
@@ -64,7 +64,6 @@ from .segmentation import (
     pick_peaks,
     segment_catalog,
     segment_track,
-    self_similarity,
 )
 from .similarity import (
     Metric,
@@ -130,7 +129,6 @@ __all__ = [
     "save_model",
     "segment_catalog",
     "segment_track",
-    "self_similarity",
     "standardize_catalog",
     "train",
     "write_transition_csv",

@@ -127,7 +127,7 @@ class Catalog:
         return values if self.stats is None else self.stats.invert(values)
 
     @classmethod
-    def from_tracks(cls, tracks: Iterable[Track], check_range: bool = True) -> "Catalog":
+    def from_tracks(cls, tracks: Iterable[Track]) -> "Catalog":
         """Build a catalog from tracks, validating ids, dimensions, and value range."""
         table: dict[str, Track] = {}
         dimension: int | None = None
@@ -145,16 +145,16 @@ class Catalog:
                 )
             if not np.isfinite(track.frames).all():
                 raise CatalogError(f"track '{track.id}': non-finite frame element")
-            if check_range and ((track.frames < 0.0).any() or (track.frames > 1.0).any()):
+            if (track.frames < 0.0).any() or (track.frames > 1.0).any():
                 raise CatalogError(f"track '{track.id}': frame element outside [0, 1]")
-            _validate_segments(track, dimension, check_range)
+            _validate_segments(track, dimension)
             table[track.id] = track
         if dimension is None:
             raise CatalogError("catalog has no tracks")
         return cls(dimension=dimension, tracks=table)
 
 
-def _validate_segments(track: Track, dimension: int, check_range: bool) -> None:
+def _validate_segments(track: Track, dimension: int) -> None:
     previous = -1
     for seg in track.segments:
         if not isinstance(seg.start, int) or seg.start < 0 or seg.start >= track.num_frames:
@@ -168,7 +168,7 @@ def _validate_segments(track: Track, dimension: int, check_range: bool) -> None:
             raise CatalogError(f"track '{track.id}': segment feature dimension mismatch")
         if not np.isfinite(seg.features).all():
             raise CatalogError(f"track '{track.id}': non-finite segment element")
-        if check_range and ((seg.features < 0.0).any() or (seg.features > 1.0).any()):
+        if (seg.features < 0.0).any() or (seg.features > 1.0).any():
             raise CatalogError(f"track '{track.id}': segment element outside [0, 1]")
 
 

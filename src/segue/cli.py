@@ -244,14 +244,12 @@ def _run_compare(args: argparse.Namespace) -> int:
     names = [name.strip() for name in args.metrics.split(",") if name.strip()]
     if not names:
         raise ValueError("no metrics given")
-    for name in names:
-        if name not in METRIC_NAMES:
-            raise ValueError(f"unknown metric '{name}' (choose from {METRIC_NAMES})")
+    metrics = [Metric(kind=name, dcg_depth=args.dcg_depth) for name in names]
     catalog, model = _load_generation_inputs(args)
     playlists: dict[str, dict] = {}
     coherence: dict[str, dict] = {}
-    for name in names:
-        metric = Metric(kind=name, dcg_depth=args.dcg_depth)
+    for metric in metrics:
+        name = metric.kind
         result = playlist_mod.generate(
             catalog, model, args.seed_track, args.length, metric, nn_threshold=args.nn_threshold
         )

@@ -239,5 +239,4 @@ def load_model(path: str | Path) -> SequenceModel:
             block[...] = values.reshape(block.shape)
     if any(not np.isfinite(a).all() for _, a in model.parameter_items()):
         raise ModelCorruptError("non-finite parameter value")
-    model.validate()
     return model

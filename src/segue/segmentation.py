@@ -1,9 +1,12 @@
-"""Structural segmentation of tracks via self-similarity and checkerboard novelty.
+"""Structural segmentation of tracks via checkerboard novelty.
 
-The pipeline per track: build the frame-by-frame cosine self-similarity matrix,
-correlate a sign-alternating Gaussian-tapered kernel along its main diagonal to
-obtain a novelty curve, pick novelty peaks as section boundaries, and aggregate
-each section's frames into one feature vector by arithmetic mean.
+The pipeline per track: correlate a sign-alternating Gaussian-tapered kernel
+along the diagonal of the frames' cosine self-similarity to obtain a novelty
+curve, pick novelty peaks as section boundaries, and aggregate each section's
+frames into one feature vector by arithmetic mean. The kernel is the outer
+product of one tapered sign line, so each novelty value is the squared norm of
+that line's weighted sum of the window's unit frames; the (T, T) similarity
+matrix is never built.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .catalog import Catalog, Segment, Track
 
@@ -46,23 +50,14 @@ class SegmentationParams:
         return self.kernel_sigma if self.kernel_sigma is not None else self.kernel_size / 4.0
 
 
-def self_similarity(frames: np.ndarray) -> np.ndarray:
-    """Pairwise cosine similarity between all frames of one track.
-
-    Returns a symmetric (T, T) matrix with unit diagonal. Zero-norm frames
-    have similarity 0 to every other frame and 1 to themselves.
-    """
-    frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != 2 or frames.shape[0] < 2:
-        raise ValueError("self-similarity requires at least 2 frames")
-    norms = np.linalg.norm(frames, axis=1)
-    safe = np.where(norms > 0.0, norms, 1.0)
-    unit = frames / safe[:, None]
-    matrix = unit @ unit.T
-    matrix = np.clip(matrix, -1.0, 1.0)
-    matrix = (matrix + matrix.T) / 2.0
-    np.fill_diagonal(matrix, 1.0)
-    return matrix
+def _kernel_line(size: int, sigma: float) -> np.ndarray:
+    """The tapered sign line whose outer product with itself is the checkerboard kernel."""
+    if size < 2 or size % 2 != 0:
+        raise ValueError("kernel size must be an even integer >= 2")
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    offsets = np.arange(size) - (size - 1) / 2.0
+    return np.sign(offsets) * np.exp(-(offsets**2) / (2.0 * sigma**2))
 
 
 def checkerboard_kernel(size: int, sigma: float) -> np.ndarray:
@@ -72,38 +67,35 @@ def checkerboard_kernel(size: int, sigma: float) -> np.ndarray:
     with c midway between the two middle indices, so the four quadrants
     alternate sign and the entries sum to zero.
     """
-    if size < 2 or size % 2 != 0:
-        raise ValueError("kernel size must be an even integer >= 2")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    center = (size - 1) / 2.0
-    offsets = np.arange(size) - center
-    signs = np.sign(offsets)
-    taper = np.exp(-(offsets**2) / (2.0 * sigma**2))
-    line = signs * taper
+    line = _kernel_line(size, sigma)
     return np.outer(line, line)
 
 
-def novelty_curve(matrix: np.ndarray, params: SegmentationParams) -> np.ndarray:
-    """Correlate the checkerboard kernel along the similarity matrix diagonal.
+def novelty_curve(frames: np.ndarray, params: SegmentationParams) -> np.ndarray:
+    """Correlate the checkerboard kernel along the diagonal of the frames' cosine similarity.
 
     Out-of-range window indices replicate the nearest edge frame, so the curve
-    has one value per frame. Negative correlations are rectified to zero.
+    has one value per frame. Similarity follows the cosine convention: a
+    zero-norm frame has similarity 1 to itself and 0 to every other frame.
     """
-    frame_count = matrix.shape[0]
+    frames = np.asarray(frames, dtype=np.float64)
+    if frames.ndim != 2:
+        raise ValueError(f"frames must be a 2-D (T, D) array, got {frames.ndim}-D")
+    frame_count = frames.shape[0]
     size = params.kernel_size
     if size > frame_count:
         raise ValueError(
             f"kernel size {size} exceeds frame count {frame_count}"
         )
-    kernel = checkerboard_kernel(size, params.effective_sigma)
-    half = size // 2
-    values = np.empty(frame_count)
-    for t in range(frame_count):
-        idx = np.clip(np.arange(t - half, t - half + size), 0, frame_count - 1)
-        window = matrix[np.ix_(idx, idx)]
-        values[t] = max(0.0, float(np.sum(window * kernel)))
-    return values
+    norms = np.linalg.norm(frames, axis=1, keepdims=True)
+    silent = norms == 0.0
+    # Zero frame j gets its own axis j % size: distinct frames in one window
+    # differ mod size, so zero frames are orthogonal to all others there.
+    own_axis = np.eye(size)[np.arange(frame_count) % size]
+    unit = np.hstack([frames / np.where(silent, 1.0, norms), silent * own_axis])
+    padded = unit[np.clip(np.arange(frame_count + size - 1) - size // 2, 0, frame_count - 1)]
+    weighted = sliding_window_view(padded, size, axis=0) @ _kernel_line(size, params.effective_sigma)
+    return np.square(weighted).sum(axis=1)
 
 
 def pick_peaks(novelty: np.ndarray, params: SegmentationParams) -> list[int]:
@@ -149,7 +141,7 @@ def segment_track(track: Track, params: SegmentationParams | None = None) -> Tra
         )
         boundaries = [0, track.num_frames]
     else:
-        novelty = novelty_curve(self_similarity(track.frames), params)
+        novelty = novelty_curve(track.frames, params)
         boundaries = [0] + pick_peaks(novelty, params) + [track.num_frames]
     segments = []
     for start, end in zip(boundaries[:-1], boundaries[1:]):

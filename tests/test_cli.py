@@ -142,6 +142,13 @@ class TestExitCodes:
         assert code == 1
         assert "usage" in capsys.readouterr().err
 
+    def test_compare_checks_metric_names_before_reading_files(self, capsys, tmp_path):
+        code = run(["compare", "-i", str(tmp_path / "absent.jsonl"), "-m", str(tmp_path / "absent.sgm"),
+                    "--seed-track", "t00", "--metrics", "cosine,bogus",
+                    "-o", str(tmp_path / "x.json")])
+        assert code == 2
+        assert "unknown metric 'bogus'" in capsys.readouterr().err
+
     def test_unknown_flag_is_usage_error(self, capsys):
         assert run(["synth", "--does-not-exist", "-o", "x"]) == 1
 

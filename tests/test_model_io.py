@@ -131,6 +131,15 @@ class TestCorruption:
         with pytest.raises(ModelCorruptError, match="trailing"):
             load_model(path)
 
+    def test_non_finite_parameter_rejected_on_load(self, small_model, tmp_path):
+        path = tmp_path / "model.sgm"
+        save_model(small_model, path)
+        data = bytearray(path.read_bytes())
+        data[-8:] = struct.pack("<d", float("nan"))  # the final block's last value
+        path.write_bytes(bytes(data))
+        with pytest.raises(ModelCorruptError, match="non-finite"):
+            load_model(path)
+
     def test_huge_layer_count_raises_without_allocating(self, tmp_path):
         path = tmp_path / "model.sgm"
         path.write_bytes(b"SGM1" + struct.pack("<4I", 2**32 - 1, 512, 50, 0))

@@ -15,7 +15,6 @@ from segue.segmentation import (
     pick_peaks,
     segment_catalog,
     segment_track,
-    self_similarity,
 )
 
 
@@ -64,38 +63,57 @@ def novelty_oracle(matrix: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return values
 
 
+def composed_oracle(frames: np.ndarray, params: SegmentationParams) -> np.ndarray:
+    """Novelty of the brute-force similarity matrix under the scripted kernel."""
+    kernel = checkerboard_kernel(params.kernel_size, params.effective_sigma)
+    return novelty_oracle(ssm_oracle(frames), kernel)
+
+
 class TestSelfSimilarity:
-    def test_identical_frames_give_all_ones(self):
+    """The cosine-similarity convention that novelty is built on, seen through the curve."""
+
+    def test_identical_frames_give_zero_novelty(self):
         frames = np.tile([0.2, 0.4, 0.6], (5, 1))
-        np.testing.assert_allclose(self_similarity(frames), np.ones((5, 5)), atol=1e-12)
+        np.testing.assert_allclose(ssm_oracle(frames), np.ones((5, 5)), atol=1e-12)
+        np.testing.assert_allclose(novelty_curve(frames, SegmentationParams(kernel_size=4)), 0.0, atol=1e-12)
 
     def test_alternating_orthogonal_frames_give_checkerboard(self):
         e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
         frames = np.stack([e1, e2, e1, e2, e1, e2])
         expected = np.array([[1.0 if (i - j) % 2 == 0 else 0.0 for j in range(6)] for i in range(6)])
-        np.testing.assert_allclose(self_similarity(frames), expected, atol=1e-12)
+        params = SegmentationParams(kernel_size=4)
+        kernel = checkerboard_kernel(4, params.effective_sigma)
+        np.testing.assert_allclose(
+            novelty_curve(frames, params), novelty_oracle(expected, kernel), atol=1e-12
+        )
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(5)
         frames = rng.uniform(0, 1, (5, 7))
-        np.testing.assert_allclose(self_similarity(frames), ssm_oracle(frames), atol=1e-12)
+        params = SegmentationParams(kernel_size=4)
+        np.testing.assert_allclose(novelty_curve(frames, params), composed_oracle(frames, params), atol=1e-12)
 
     def test_zero_norm_frame(self):
-        frames = np.array([[0.0, 0.0], [0.5, 0.5], [0.0, 0.0]])
-        matrix = self_similarity(frames)
-        assert matrix[0][0] == 1.0 and matrix[2][2] == 1.0
-        assert matrix[0][1] == 0.0 and matrix[0][2] == 0.0
-
-    def test_symmetry_and_unit_diagonal(self):
-        rng = np.random.default_rng(6)
-        matrix = self_similarity(rng.uniform(0, 1, (12, 4)))
-        np.testing.assert_allclose(matrix, matrix.T, atol=1e-9)
-        np.testing.assert_allclose(np.diag(matrix), 1.0, atol=0)
-        assert matrix.min() >= -1.0 and matrix.max() <= 1.0
+        frames = np.array([[0.0, 0.0], [0.5, 0.5], [0.0, 0.0], [0.0, 0.0], [0.2, 0.9]])
+        for size in (2, 4):
+            params = SegmentationParams(kernel_size=size)
+            values = novelty_curve(frames, params)
+            np.testing.assert_allclose(values, composed_oracle(frames, params), atol=1e-12)
+        # Two adjacent silent frames are as dissimilar as two orthogonal ones.
+        orthogonal = np.array([[1.0, 0.0], [0.0, 1.0]])
+        np.testing.assert_allclose(
+            novelty_curve(np.zeros((2, 2)), SegmentationParams(kernel_size=2)),
+            novelty_curve(orthogonal, SegmentationParams(kernel_size=2)),
+            atol=1e-12,
+        )
 
     def test_too_few_frames(self):
-        with pytest.raises(ValueError, match="2 frames"):
-            self_similarity(np.array([[0.5, 0.5]]))
+        with pytest.raises(ValueError, match="exceeds frame count 1"):
+            novelty_curve(np.array([[0.5, 0.5]]), SegmentationParams(kernel_size=2))
+
+    def test_frames_must_be_two_dimensional(self):
+        with pytest.raises(ValueError, match="2-D"):
+            novelty_curve(np.ones(20), SegmentationParams(kernel_size=2))
 
 
 class TestCheckerboardKernel:
@@ -122,7 +140,7 @@ class TestCheckerboardKernel:
 class TestNoveltyCurve:
     def test_homogeneous_similarity_gives_zero_novelty(self):
         params = SegmentationParams(kernel_size=8)
-        values = novelty_curve(np.ones((30, 30)), params)
+        values = novelty_curve(np.tile([0.1, 0.7, 0.3], (30, 1)), params)
         np.testing.assert_allclose(values, 0.0, atol=1e-12)
 
     def test_two_block_structure_peaks_at_boundary(self):
@@ -131,22 +149,35 @@ class TestNoveltyCurve:
         e2[1] = 1.0
         frames = np.vstack([np.tile(e1, (10, 1)), np.tile(e2, (10, 1))])
         params = SegmentationParams(kernel_size=16)
-        values = novelty_curve(self_similarity(frames), params)
+        values = novelty_curve(frames, params)
         assert int(np.argmax(values)) == 10
         assert np.sum(values == values.max()) == 1
 
     def test_matches_naive_oracle_on_random_input(self):
         rng = np.random.default_rng(17)
-        matrix = self_similarity(rng.uniform(0, 1, (25, 6)))
+        frames = rng.uniform(0, 1, (25, 6))
         params = SegmentationParams(kernel_size=8)
-        kernel = checkerboard_kernel(8, params.effective_sigma)
-        np.testing.assert_allclose(
-            novelty_curve(matrix, params), novelty_oracle(matrix, kernel), atol=1e-10
-        )
+        np.testing.assert_allclose(novelty_curve(frames, params), composed_oracle(frames, params), atol=1e-10)
+
+    def test_matches_naive_oracle_on_seeded_cases(self):
+        """Silent frames, repeated runs and T == K, for every kernel size up to 16."""
+        rng = np.random.default_rng(1701)
+        for case in range(120):
+            size = int(rng.choice(np.arange(2, 17, 2)))
+            count = size if case % 6 == 0 else int(rng.integers(size, 41))
+            frames = rng.uniform(0, 1, (count, int(rng.integers(1, 7))))
+            start = int(rng.integers(0, count))
+            frames[start : start + int(rng.integers(1, 6))] = frames[start]
+            frames[rng.random(count) < 0.2] = 0.0
+            params = SegmentationParams(kernel_size=size)
+            np.testing.assert_allclose(
+                novelty_curve(frames, params), composed_oracle(frames, params), atol=1e-10,
+                err_msg=f"case {case}: T={count}, K={size}",
+            )
 
     def test_kernel_larger_than_track(self):
         with pytest.raises(ValueError, match="kernel"):
-            novelty_curve(np.ones((10, 10)), SegmentationParams(kernel_size=16))
+            novelty_curve(np.ones((10, 3)), SegmentationParams(kernel_size=16))
 
 
 class TestPickPeaks:
@@ -220,8 +251,9 @@ class TestSegmentTrack:
         base = segment_track(noisy)
         other = segment_track(permuted)
         assert [s.start for s in base.segments] == [s.start for s in other.segments]
+        params = SegmentationParams()
         np.testing.assert_allclose(
-            self_similarity(noisy.frames), self_similarity(permuted.frames), atol=1e-12
+            novelty_curve(noisy.frames, params), novelty_curve(permuted.frames, params), atol=1e-12
         )
 
     def test_single_frame_track_becomes_one_section(self):

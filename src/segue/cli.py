@@ -228,8 +228,8 @@ def _load_generation_inputs(args: argparse.Namespace):
 
 
 def _run_generate(args: argparse.Namespace) -> int:
-    catalog, model = _load_generation_inputs(args)
     metric = Metric(kind=args.metric, dcg_depth=args.dcg_depth)
+    catalog, model = _load_generation_inputs(args)
     result = playlist_mod.generate(
         catalog, model, args.seed_track, args.length, metric, nn_threshold=args.nn_threshold
     )

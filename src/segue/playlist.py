@@ -5,20 +5,28 @@ should come next from the segment history of everything chosen so far, then
 appends the unused track whose start segment ranks best under the chosen
 metric. Exports a stacked transition matrix (segment rows interleaved with
 prediction rows) and a coherence report.
+
+A request carries the LSTM state along the history: while the history still
+fits the model's context, each step advances the state by the newly chosen
+track's sections only; once it is longer, the window slides, and each step
+runs its last N sections from zero. Either way the prediction is the one
+``predict_next`` gives on the whole history. The candidates' start sections
+are stacked once per request, and a used-mask drops the chosen tracks.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .catalog import Catalog
 from .model import SequenceModel
-from .rnn import predict_next
-from .similarity import Metric, NeighbourGap, cosine_distance, nearest_neighbour_gap
+from .rnn import advance
+from .similarity import Metric, NeighbourGap, StartSections, cosine_distance
 
 logger = logging.getLogger(__name__)
 
@@ -125,10 +133,20 @@ def generate(
             f"model dimension {model.dimension} != catalog dimension {catalog.dimension}"
         )
     chosen = [seed_id]
-    history = [seg.features for seg in catalog.tracks[seed_id].segments]
     steps: list[PlaylistStep] = []
     truncated = False
-    for _ in range(length - 1):
+    if length == 1:
+        return Playlist(track_ids=chosen, steps=steps, metric=metric, seed_id=seed_id)
+    context = model.context_length
+    if context is None:
+        raise ValueError("model has no context length; train it or set context_length")
+    debug = logger.isEnabledFor(logging.DEBUG)
+    starts = StartSections.of(catalog)
+    used = starts.ids == seed_id
+    pending = catalog.tracks[seed_id].segment_matrix()  # sections the state has not seen
+    history = list(pending)
+    state = None
+    for step in range(length - 1):
         if len(chosen) == len(catalog):
             truncated = True
             logger.warning(
@@ -136,13 +154,26 @@ def generate(
                 len(chosen), length,
             )
             break
-        prediction = predict_next(model, np.stack(history))
-        gap = nearest_neighbour_gap(prediction, catalog, metric, exclude=frozenset(chosen))
+        began = time.perf_counter() if debug else 0.0
+        if len(history) <= context:
+            # The whole history is the window: carry the state over the new sections.
+            prediction, state = advance(model, pending, state)
+        else:
+            # The window slides: run its last N sections from zero.
+            prediction = advance(model, np.stack(history[-context:]))[0]
+        gap, best = starts.gap(prediction, metric, used)
         event = gap.no_near_neighbour(nn_threshold)
         if event:
             logger.info(
                 "no near neighbour for step %d: best cosine distance %.3f > %.3f",
-                len(steps), gap.best_cosine_distance, nn_threshold,
+                step, gap.best_cosine_distance, nn_threshold,
+            )
+        if debug:
+            logger.debug(
+                "generate_step step=%d seconds=%.6f candidates=%d margin=%.6g "
+                "best_cosine_distance=%.6g no_near_neighbour=%s",
+                step, time.perf_counter() - began, len(catalog) - len(chosen),
+                gap.margin, gap.best_cosine_distance, event,
             )
         steps.append(
             PlaylistStep(
@@ -153,8 +184,10 @@ def generate(
                 no_near_neighbour=event,
             )
         )
+        used[best] = True
         chosen.append(gap.best_id)
-        history.extend(seg.features for seg in catalog.tracks[gap.best_id].segments)
+        pending = catalog.tracks[gap.best_id].segment_matrix()
+        history.extend(pending)
     return Playlist(track_ids=chosen, steps=steps, metric=metric, seed_id=seed_id, truncated=truncated)
 
 

@@ -221,7 +221,27 @@ def forward(
         raise ValueError(f"mask length {mask.shape} != window length {window.shape[:-1]}")
     windows = window.reshape(-1, *window.shape[-2:])
     h_top = _run(model, windows, mask.reshape(windows.shape[:2]))[0][-1]
-    return sigmoid(h_top @ model.w_out.T + model.b_out).reshape(*window.shape[:-2], model.dimension)
+    return _output(model, h_top).reshape(*window.shape[:-2], model.dimension)
+
+
+def advance(
+    model: SequenceModel, sections: np.ndarray, state: LstmState | None = None
+) -> tuple[np.ndarray, LstmState]:
+    """Run the (n, D) ``sections`` from ``state`` (zeros when None).
+
+    Returns the prediction after the last section and the state there, from
+    which a later call continues: advancing by A and then by B gives the
+    prediction ``forward`` gives on A followed by B.
+    """
+    sections = np.asarray(sections, dtype=np.float64)
+    hidden, cell = _run(model, sections[None], np.ones((1, len(sections)), dtype=bool), state)
+    state = LstmState(hidden=[h[0] for h in hidden], cell=[c[0] for c in cell])
+    return _output(model, hidden[-1])[0], state
+
+
+def _output(model: SequenceModel, h_top: np.ndarray) -> np.ndarray:
+    """The output head: (B, H) top-layer hidden states to (B, D) predictions in (0, 1)."""
+    return sigmoid(h_top @ model.w_out.T + model.b_out)
 
 
 def loss_and_gradients(
@@ -242,7 +262,7 @@ def loss_and_gradients(
     batch_size, dim = len(batch), model.dimension
     tape: list = []
     h_top = _run(model, windows, masks, tape=tape)[0][-1]
-    prediction = sigmoid(h_top @ model.w_out.T + model.b_out)
+    prediction = _output(model, h_top)
     residual = prediction - targets
     loss = float(np.sum(residual * residual)) / dim / batch_size
     # d loss / d prediction for the batch mean of per-item mean squared error

@@ -12,6 +12,12 @@ catalog-wide ranking equals scoring the candidates one at a time, exactly.
 All comparisons happen in the original [0, 1] feature space: when a catalog is
 standardized, both the prediction and the candidates' start segments are
 mapped back through the catalog's stored statistics before scoring.
+
+Ranking is two steps: ``StartSections.of`` stacks the start sections once,
+and ``StartSections.ranked`` scores that stack against a prediction, leaving
+out the rows a boolean mask marks as used. ``rank_candidates`` and
+``nearest_neighbour_gap`` do both steps per call; a playlist builds the stack
+once and scores it at every step.
 """
 
 from __future__ import annotations
@@ -153,8 +159,11 @@ def rank_candidates(
     the original [0, 1] space. Ties break by ascending track id, so rankings
     are deterministic.
     """
-    ids, scores, _, _ = _ranked(pred, catalog, metric, exclude)
-    return RankedCandidates(entries=list(zip(ids.tolist(), scores.tolist())), metric=metric)
+    starts = StartSections.of(catalog)
+    order, scores, _ = starts.ranked(pred, metric, starts.mask(exclude))
+    return RankedCandidates(
+        entries=list(zip(starts.ids[order].tolist(), scores.tolist())), metric=metric
+    )
 
 
 def nearest_neighbour_gap(
@@ -164,37 +173,66 @@ def nearest_neighbour_gap(
     exclude: frozenset[str] | set[str] = frozenset(),
 ) -> NeighbourGap:
     """Diagnose whether the prediction has a near neighbour among the candidates."""
-    ids, scores, pred_orig, starts = _ranked(pred, catalog, metric, exclude)
-    best_score = float(scores[0])
-    median = float(np.median(scores))
-    margin = best_score - median if metric.higher_is_better else median - best_score
-    cosine = scores if metric.kind == "cosine" else _scores(pred_orig, starts, Metric("cosine"))
-    return NeighbourGap(
-        best_id=str(ids[0]),
-        best_score=best_score,
-        median_score=median,
-        margin=margin,
-        best_cosine_distance=float(cosine.min()),
-    )
+    starts = StartSections.of(catalog)
+    return starts.gap(pred, metric, starts.mask(exclude))[0]
 
 
-def _ranked(
-    pred: np.ndarray, catalog: Catalog, metric: Metric, exclude: frozenset[str] | set[str]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Score the non-excluded start sections once, in the original space.
+@dataclass(frozen=True)
+class StartSections:
+    """Every track's id and start section, mapped to the original space, in catalog order.
 
-    Returns ids and scores best first (ties by ascending id), then the
-    prediction and the start-section stack mapped to the original space.
+    Built once and scored against any number of predictions, each with a
+    boolean ``used`` mask (one entry per row) marking the tracks that are no
+    longer candidates. Every row is scored and the used ones dropped after,
+    which gives the same bits as scoring only the candidates, since
+    ``_scores`` works row by row.
     """
-    pred = np.asarray(pred, dtype=np.float64)
-    if pred.shape != (catalog.dimension,):
-        raise ValueError(f"dimension mismatch: {pred.shape} vs catalog dimension {catalog.dimension}")
-    candidates = [track for track in catalog if track.id not in exclude]
-    if not candidates:
-        raise ValueError("no candidate tracks remain")
-    ids = np.array([track.id for track in candidates])
-    starts = catalog.to_original_space(np.stack([track.start_segment() for track in candidates]))
-    pred = catalog.to_original_space(pred)
-    scores = _scores(pred, starts, metric)
-    order = np.lexsort((ids, -scores if metric.higher_is_better else scores))
-    return ids[order], scores[order], pred, starts
+
+    catalog: Catalog
+    ids: np.ndarray  # (M,) track ids
+    rows: np.ndarray  # (M, D) original-space start sections, C-ordered
+
+    @classmethod
+    def of(cls, catalog: Catalog) -> "StartSections":
+        rows = np.stack([track.start_segment() for track in catalog])
+        return cls(catalog=catalog, ids=np.array(catalog.track_ids), rows=catalog.to_original_space(rows))
+
+    def mask(self, exclude: frozenset[str] | set[str]) -> np.ndarray:
+        """The ``used`` mask that leaves out the ``exclude`` ids."""
+        return np.fromiter((i in exclude for i in self.ids.tolist()), bool, len(self.ids))
+
+    def ranked(
+        self, pred: np.ndarray, metric: Metric, used: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Score the unused rows once against ``pred``.
+
+        Returns their row positions and scores best first (ties by ascending
+        id), then the prediction mapped to the original space.
+        """
+        pred = np.asarray(pred, dtype=np.float64)
+        dim = self.catalog.dimension
+        if pred.shape != (dim,):
+            raise ValueError(f"dimension mismatch: {pred.shape} vs catalog dimension {dim}")
+        keep = np.flatnonzero(~used)
+        if not keep.size:
+            raise ValueError("no candidate tracks remain")
+        pred = self.catalog.to_original_space(pred)
+        scores = _scores(pred, self.rows, metric)[keep]
+        order = np.lexsort((self.ids[keep], -scores if metric.higher_is_better else scores))
+        return keep[order], scores[order], pred
+
+    def gap(self, pred: np.ndarray, metric: Metric, used: np.ndarray) -> tuple[NeighbourGap, int]:
+        """The neighbour gap among the unused rows, and the best one's row position."""
+        order, scores, pred_orig = self.ranked(pred, metric, used)
+        best_score = float(scores[0])
+        median = float(np.median(scores))
+        margin = best_score - median if metric.higher_is_better else median - best_score
+        cosine = scores if metric.kind == "cosine" else _scores(pred_orig, self.rows, Metric("cosine"))[order]
+        gap = NeighbourGap(
+            best_id=str(self.ids[order[0]]),
+            best_score=best_score,
+            median_score=median,
+            margin=margin,
+            best_cosine_distance=float(cosine.min()),
+        )
+        return gap, int(order[0])

@@ -149,6 +149,13 @@ class TestExitCodes:
         assert code == 2
         assert "unknown metric 'bogus'" in capsys.readouterr().err
 
+    def test_generate_checks_metric_before_reading_files(self, capsys, tmp_path):
+        code = run(["generate", "-i", str(tmp_path / "absent.jsonl"), "-m", str(tmp_path / "absent.sgm"),
+                    "--seed-track", "t00", "--metric", "dcg", "--dcg-depth", "0",
+                    "-o", str(tmp_path / "x.json")])
+        assert code == 2
+        assert "dcg_depth must be >= 1" in capsys.readouterr().err
+
     def test_unknown_flag_is_usage_error(self, capsys):
         assert run(["synth", "--does-not-exist", "-o", "x"]) == 1
 

@@ -1,10 +1,12 @@
 """Generation loop contracts, transition-matrix export, and coherence diagnostics."""
 
+import logging
+
 import numpy as np
 import pytest
 
 from conftest import segmented_catalog
-from segue import playlist as playlist_mod
+from segue import rnn as rnn_mod
 from segue.playlist import (
     Playlist,
     coherence_report,
@@ -13,8 +15,8 @@ from segue.playlist import (
     read_transition_csv,
     write_transition_csv,
 )
-from segue.rnn import init_model
-from segue.similarity import Metric
+from segue.rnn import init_model, predict_next
+from segue.similarity import Metric, nearest_neighbour_gap
 
 
 def make_catalog(track_count=6, dimension=4, seed=0, segments=(2, 5)):
@@ -31,8 +33,30 @@ def make_model(dimension=4, context=3, seed=0):
     return model
 
 
+def sequential_reference(catalog, model, seed_id, length, metric):
+    """The playlist that predicting from the whole history at every step gives.
+
+    Returns the chosen ids and, per step, (prediction, gap, history length).
+    """
+    chosen = [seed_id]
+    history = [catalog.tracks[seed_id].segment_matrix()]
+    records = []
+    while len(chosen) < min(length, len(catalog)):
+        segments = np.vstack(history)
+        prediction = predict_next(model, segments)
+        gap = nearest_neighbour_gap(prediction, catalog, metric, exclude=frozenset(chosen))
+        records.append((prediction, gap, len(segments)))
+        chosen.append(gap.best_id)
+        history.append(catalog.tracks[gap.best_id].segment_matrix())
+    return chosen, records
+
+
 class TestGenerate:
-    def test_length_one_is_just_the_seed(self):
+    def test_length_one_is_just_the_seed(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("LSTM run for a one-track playlist")
+
+        monkeypatch.setattr(rnn_mod, "_run", refuse)
         catalog = make_catalog()
         result = generate(catalog, make_model(), "t02", 1, Metric("cosine"))
         assert result.track_ids == ["t02"]
@@ -61,28 +85,77 @@ class TestGenerate:
             np.testing.assert_array_equal(a.prediction, b.prediction)
             assert a.chosen_score == b.chosen_score
 
-    def test_context_concatenates_chosen_tracks_most_recent_last(self, monkeypatch):
-        # tag every track's segments with a recognisable constant
-        catalog = segmented_catalog({
-            "t0": np.full((3, 4), 0.10),
-            "t1": np.full((2, 4), 0.20),
-            "t2": np.full((4, 4), 0.30),
-        })
-        seen = []
+    def test_context_concatenates_chosen_tracks_most_recent_last(self):
+        # Advancing by a one-section track is a one-row product, which BLAS may
+        # round differently from the same row inside a longer window, so values
+        # are held to 1e-12 here; the ids must match exactly.
+        rng = np.random.default_rng(11)
+        seen = set()
+        for case in range(40):
+            dimension = int(rng.integers(2, 6))
+            catalog = make_catalog(
+                track_count=int(rng.integers(3, 9)), dimension=dimension, seed=100 + case,
+                segments=(1, 5),
+            )
+            model = init_model(int(rng.integers(1, 3)), int(rng.integers(3, 7)), dimension, seed=case)
+            model.context_length = int(rng.integers(1, 7))
+            metric = Metric(["cosine", "l2", "dcg"][case % 3])
+            seed_id = catalog.track_ids[int(rng.integers(len(catalog)))]
+            length = int(rng.integers(2, len(catalog) + 2))
+            result = generate(catalog, model, seed_id, length, metric)
+            chosen, records = sequential_reference(catalog, model, seed_id, length, metric)
+            assert result.track_ids == chosen
+            assert len(result.steps) == len(records)
+            for step, (prediction, gap, history) in zip(result.steps, records):
+                np.testing.assert_allclose(step.prediction, prediction, rtol=0, atol=1e-12)
+                assert step.chosen_id == gap.best_id
+                for field in ("best_score", "median_score", "margin", "best_cosine_distance"):
+                    assert getattr(step.gap, field) == pytest.approx(getattr(gap, field), rel=0, abs=1e-12)
+                assert step.no_near_neighbour == gap.no_near_neighbour()
+                seen.add(int(np.sign(history - model.context_length)))
+        assert seen == {-1, 0, 1}  # histories below, exactly at and past the context
 
-        def recording_predictor(model, history):
-            seen.append(np.asarray(history).copy())
-            return np.full(4, 0.15)  # nearest start segment is t1's
+    def test_state_is_carried_while_the_history_fits(self, monkeypatch):
+        # context 4, tracks of 2 sections: histories of 2, 4 (the context), 6 and 8 sections
+        catalog = make_catalog(track_count=6, segments=(2, 3))
+        model = make_model(context=4)
+        positions = []
+        run = rnn_mod._run
 
-        monkeypatch.setattr(playlist_mod, "predict_next", recording_predictor)
-        result = generate(catalog, make_model(), "t0", 3, Metric("l2"))
-        assert result.track_ids == ["t0", "t1", "t2"]
-        # first step sees exactly the seed's three segments
-        np.testing.assert_array_equal(seen[0], np.full((3, 4), 0.10))
-        # second step sees the seed's segments followed by the chosen track's
-        np.testing.assert_array_equal(
-            seen[1], np.vstack([np.full((3, 4), 0.10), np.full((2, 4), 0.20)])
-        )
+        def counting_run(model, windows, masks, *args, **kwargs):
+            positions.append(int(np.count_nonzero(masks)))
+            return run(model, windows, masks, *args, **kwargs)
+
+        monkeypatch.setattr(rnn_mod, "_run", counting_run)
+        generate(catalog, model, "t00", 5, Metric("l2"))
+        assert positions == [2, 2, 4, 4]
+
+    def test_model_without_context_length_rejected(self):
+        model = make_model()
+        model.context_length = None
+        with pytest.raises(ValueError, match="model has no context length"):
+            generate(make_catalog(), model, "t00", 3, Metric("l2"))
+
+    def test_logs_one_debug_record_per_step(self, caplog):
+        catalog = make_catalog(track_count=6, seed=4)
+        with caplog.at_level(logging.INFO, logger="segue.playlist"):
+            generate(catalog, make_model(seed=4), "t02", 4, Metric("dcg"))
+        assert not [r for r in caplog.records if "generate_step" in r.getMessage()]
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="segue.playlist"):
+            result = generate(catalog, make_model(seed=4), "t02", 4, Metric("dcg"), nn_threshold=0.0)
+        records = [r for r in caplog.records if r.getMessage().startswith("generate_step ")]
+        assert [r.levelno for r in records] == [logging.DEBUG] * 3
+        for index, (record, step) in enumerate(zip(records, result.steps)):
+            fields = dict(item.split("=") for item in record.getMessage().split()[1:])
+            assert int(fields["step"]) == index
+            assert float(fields["seconds"]) >= 0.0
+            assert int(fields["candidates"]) == len(catalog) - 1 - index
+            assert float(fields["margin"]) == pytest.approx(step.gap.margin, rel=1e-5)
+            assert float(fields["best_cosine_distance"]) == pytest.approx(
+                step.gap.best_cosine_distance, rel=1e-5, abs=1e-12
+            )
+            assert fields["no_near_neighbour"] == str(step.no_near_neighbour)
 
     def test_missing_seed_rejected(self):
         with pytest.raises(ValueError, match="seed track"):

@@ -9,6 +9,12 @@ share one dimension D and every element must be a finite value in [0, 1].
 ``segments`` is optional and appears once a catalog has been segmented; each
 entry is ``{"start": <first frame index>, "features": [...]}``.
 
+``save_catalog`` writes each record as exactly the text ``json.dumps`` gives
+for it, streamed to the file. Number arrays whose values are short decimals
+(+0.0, or in [1e-4, 1] with at most 15 decimals, as tag probabilities are) are
+formatted in numpy a block of rows at a time; every other array goes through
+``json.dumps``. Which path ran never shows in the file.
+
 Catalogs are treated as immutable after construction: segmentation and
 standardization build new ``Catalog`` objects rather than mutating in place.
 """
@@ -19,7 +25,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
@@ -157,7 +163,7 @@ class Catalog:
 def _validate_segments(track: Track, dimension: int) -> None:
     previous = -1
     for seg in track.segments:
-        if not isinstance(seg.start, int) or seg.start < 0 or seg.start >= track.num_frames:
+        if not _is_int(seg.start) or seg.start < 0 or seg.start >= track.num_frames:
             raise CatalogError(
                 f"track '{track.id}': segment start {seg.start} outside frame range"
             )
@@ -170,6 +176,11 @@ def _validate_segments(track: Track, dimension: int) -> None:
             raise CatalogError(f"track '{track.id}': non-finite segment element")
         if (seg.features < 0.0).any() or (seg.features > 1.0).any():
             raise CatalogError(f"track '{track.id}': segment element outside [0, 1]")
+
+
+def _is_int(value: object) -> bool:
+    """An integer that is not a bool (JSON ``true`` loads as a Python int subclass)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def load_catalog(path: str | Path) -> Catalog:
@@ -216,7 +227,7 @@ def _parse_record(record: object, lineno: int) -> Track:
     if frames.ndim != 2:
         raise CatalogError(f"line {lineno}: track '{track_id}': frame dimension mismatch")
     frame_hop = record.get("frame_hop", 1.0)
-    if not isinstance(frame_hop, (int, float)) or not np.isfinite(frame_hop):
+    if not (_is_int(frame_hop) or isinstance(frame_hop, float)) or not np.isfinite(frame_hop):
         raise CatalogError(f"line {lineno}: track '{track_id}': invalid 'frame_hop'")
     segments: list[Segment] = []
     raw_segments = record.get("segments", [])
@@ -232,7 +243,7 @@ def _parse_record(record: object, lineno: int) -> Track:
                 f"line {lineno}: track '{track_id}': non-numeric segment features"
             ) from None
         start = entry["start"]
-        if not isinstance(start, int):
+        if not _is_int(start):
             raise CatalogError(f"line {lineno}: track '{track_id}': segment start must be an integer")
         segments.append(Segment(start=start, features=features))
     try:
@@ -242,26 +253,120 @@ def _parse_record(record: object, lineno: int) -> Track:
 
 
 def save_catalog(catalog: Catalog, path: str | Path) -> None:
-    """Write a catalog as JSON lines; loading the result reproduces the catalog."""
+    """Write a catalog as JSON lines; loading the result reproduces the catalog.
+
+    The tracks are validated as ``load_catalog`` validates them before the file
+    is opened, so a catalog that would not load raises ``CatalogError`` naming
+    the track and nothing is written.
+    """
     if catalog.standardized:
         raise CatalogError(
             "standardized catalogs are in-memory only and cannot be saved; "
             "persist the original catalog and re-standardize at use"
         )
+    Catalog.from_tracks(catalog)
     path = Path(path)
     with path.open("w", encoding="utf-8") as handle:
         for track in catalog:
-            record: dict = {
-                "id": track.id,
-                "frame_hop": track.frame_hop,
-                "frames": track.frames.tolist(),
-            }
+            handle.write(
+                f'{{"id": {json.dumps(track.id)}, "frame_hop": {json.dumps(track.frame_hop)}, '
+                '"frames": '
+            )
+            _write_numbers(handle, track.frames)
             if track.is_segmented:
-                record["segments"] = [
-                    {"start": seg.start, "features": seg.features.tolist()}
-                    for seg in track.segments
-                ]
-            handle.write(json.dumps(record) + "\n")
+                handle.write(', "segments": [')
+                for index, seg in enumerate(track.segments):
+                    if index:
+                        handle.write(", ")
+                    handle.write(f'{{"start": {json.dumps(seg.start)}, "features": ')
+                    _write_numbers(handle, seg.features)
+                    handle.write("}")
+                handle.write("]")
+            handle.write("}\n")
+
+
+# Values per formatted block: bounds the formatter's scratch arrays.
+_BLOCK_VALUES = 4096
+_ROW_END = np.frombuffer(b"], [", dtype=np.uint8)
+
+
+def _write_numbers(handle: TextIO, values: np.ndarray) -> None:
+    """Write exactly ``json.dumps(values.tolist())``, formatting row blocks in numpy.
+
+    Only float64 vectors and matrices take the numpy path (``_format_block``);
+    every other array is written by ``json.dumps`` itself.
+    """
+    if values.dtype != np.float64 or values.ndim not in (1, 2) or values.size == 0:
+        handle.write(json.dumps(values.tolist()))
+        return
+    rows = values.reshape(1, -1) if values.ndim == 1 else values
+    opening, closing = ("[", "]") if values.ndim == 1 else ("[[", "]]")
+    step = max(1, _BLOCK_VALUES // rows.shape[1])
+    handle.write(opening)
+    for lo in range(0, rows.shape[0], step):
+        if lo:
+            handle.write("], [")
+        handle.write(_format_block(rows[lo : lo + step]))
+    handle.write(closing)
+
+
+def _has_decimals(x: np.ndarray, places: int) -> bool:
+    """Whether every value is the double nearest to some integer / 10**places.
+
+    For places <= 15 both the integer and 10**places are exact doubles, and
+    division is correctly rounded, so equality means that decimal text parses
+    back to the value.
+    """
+    scale = 10.0**places
+    return bool((np.rint(x * scale) / scale == x).all())
+
+
+def _format_block(block: np.ndarray) -> str:
+    """``json.dumps(block.tolist())`` without its outer ``[[`` and ``]]``.
+
+    When every value is +0.0 or lies in [1e-4, 1] with at most 15 decimals,
+    ``repr`` writes it in fixed notation with its fewest decimals. The block's
+    digits are then built as a uint8 matrix of one row per value (integer
+    digit, point, decimals, separator) and the padding is dropped with one
+    boolean mask. Any other block goes through ``json.dumps``.
+    """
+    x = block.ravel()
+    in_range = ((x >= 1e-4) & (x <= 1.0)) | ((x == 0.0) & ~np.signbit(x))
+    if not (in_range.all() and _has_decimals(x, 15)):
+        return json.dumps(block.tolist())[2:-2]
+    # Fewest decimals that hold every value, by bisection (d decimals imply d + 1);
+    # per value, the fewest decimals are repr's shortest digits.
+    lo, hi = 0, 15
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _has_decimals(x, mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    places = max(lo, 1)  # repr keeps one decimal: "0.0", "1.0"
+    scaled = np.rint(x * 10.0**places).astype(np.int32 if places <= 9 else np.int64)
+    sep = places + 2  # first separator column
+    text = np.empty((x.size, sep + 4), dtype=np.uint8)
+    keep = np.zeros(text.shape, dtype=bool)
+    nonzero_after = np.zeros(x.size, dtype=bool)
+    for col in range(sep - 1, 1, -1):  # decimals, last first
+        quotient = scaled // 10
+        digit = scaled - quotient * 10
+        scaled = quotient
+        text[:, col] = digit + ord("0")
+        nonzero_after |= digit != 0
+        keep[:, col] = nonzero_after  # trailing zeros are dropped
+    text[:, 0] = scaled + ord("0")  # the integer digit, 0 or 1
+    text[:, 1] = ord(".")
+    text[:, sep] = ord(",")
+    text[:, sep + 1] = ord(" ")
+    for col in (0, 1, 2, sep, sep + 1):
+        keep[:, col] = True
+    width = block.shape[1]
+    text[width - 1 :: width, sep:] = _ROW_END
+    keep[width - 1 :: width, sep:] = True
+    keep[-1, sep:] = False
+    return text[keep].tobytes().decode("ascii")
 
 
 class TrainingPair(NamedTuple):

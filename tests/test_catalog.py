@@ -1,11 +1,13 @@
 """Catalog ingestion, persistence, and training-window construction."""
 
+import io
 import json
 
 import numpy as np
 import pytest
 
 from conftest import segmented_catalog, segmented_track
+from segue import catalog as catalog_module
 from segue.catalog import (
     Catalog,
     CatalogError,
@@ -16,6 +18,7 @@ from segue.catalog import (
     save_catalog,
 )
 from segue.features import SynthSpec, generate_synthetic_catalog, standardize_catalog
+from segue.segmentation import segment_catalog
 
 
 def _write_jsonl(path, records):
@@ -126,6 +129,21 @@ class TestLoadCatalog:
         with pytest.raises(CatalogError, match="increasing"):
             load_catalog(path)
 
+    def test_boolean_segment_start_rejected(self, tmp_path):
+        path = tmp_path / "cat.jsonl"
+        _write_jsonl(path, [{
+            "id": "a", "frame_hop": 1.0, "frames": [[0.1], [0.2]],
+            "segments": [{"start": True, "features": [0.1]}],
+        }])
+        with pytest.raises(CatalogError, match=r"line 1: track 'a': segment start"):
+            load_catalog(path)
+
+    def test_boolean_frame_hop_rejected(self, tmp_path):
+        path = tmp_path / "cat.jsonl"
+        _write_jsonl(path, [{"id": "a", "frame_hop": True, "frames": [[0.1], [0.2]]}])
+        with pytest.raises(CatalogError, match=r"line 1: track 'a': invalid 'frame_hop'"):
+            load_catalog(path)
+
 
 class TestSaveCatalog:
     def test_round_trip_is_fixed_point(self, tmp_path):
@@ -139,6 +157,23 @@ class TestSaveCatalog:
         save_catalog(loaded, second)
         assert first.read_bytes() == second.read_bytes()
         assert _catalogs_equal(loaded, load_catalog(second))
+
+    def test_short_decimal_round_trip_is_fixed_point(self, tmp_path):
+        # Frames carry 6 decimals, as tag probabilities do, so they take the
+        # numpy formatting path; the section means carry full precision.
+        spec = SynthSpec(track_count=4, cluster_count=2, dimension=6, strong_dims=2,
+                         weak_dims=2, segment_range=(2, 3), frames_per_segment=(20, 30), seed=5)
+        rounded = Catalog.from_tracks(
+            Track(id=t.id, frames=np.round(t.frames, 6), frame_hop=t.frame_hop)
+            for t in generate_synthetic_catalog(spec)
+        )
+        segmented = segment_catalog(rounded)
+        first, second = tmp_path / "one.jsonl", tmp_path / "two.jsonl"
+        save_catalog(segmented, first)
+        loaded = load_catalog(first)
+        assert _catalogs_equal(segmented, loaded)
+        save_catalog(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
 
     def test_segmented_catalog_round_trip(self, tmp_path):
         catalog = segmented_catalog({
@@ -157,6 +192,86 @@ class TestSaveCatalog:
         standardized = standardize_catalog(catalog)
         with pytest.raises(CatalogError, match="in-memory"):
             save_catalog(standardized, tmp_path / "nope.jsonl")
+
+    @pytest.mark.parametrize("frames, starts, message", [
+        ([[0.1, np.nan], [0.2, 0.3]], [0], "non-finite"),
+        ([[0.1, 1.5], [0.2, 0.3]], [0], r"outside \[0, 1\]"),
+        ([[0.1, 0.2], [0.2, 0.3]], [1, 1], "increasing"),
+    ])
+    def test_catalog_that_would_not_load_is_not_written(self, tmp_path, frames, starts, message):
+        frames = np.array(frames)
+        track = Track(id="bad", frames=frames,
+                      segments=[Segment(start=s, features=frames[s]) for s in starts])
+        path = tmp_path / "nope.jsonl"
+        with pytest.raises(CatalogError, match=f"track 'bad'.*{message}"):
+            save_catalog(Catalog(dimension=2, tracks={"bad": track}), path)
+        assert not path.exists()
+
+
+def _written(values: np.ndarray) -> str:
+    handle = io.StringIO()
+    catalog_module._write_numbers(handle, values)
+    return handle.getvalue()
+
+
+class TestNumberWriter:
+    """The catalog writer's number arrays are byte for byte ``json.dumps`` text."""
+
+    BLOCK = catalog_module._BLOCK_VALUES
+
+    @pytest.mark.parametrize("decimals", [*range(18), None])
+    @pytest.mark.parametrize("shape", [(7,), (1, 7), (5, 1), (83, 50)])
+    def test_rounded_and_full_precision_values(self, decimals, shape):
+        rng = np.random.default_rng(decimals or 99)
+        values = rng.uniform(0.0, 1.0, shape)
+        if decimals is not None:
+            values = np.round(values, decimals)
+        assert _written(values) == json.dumps(values.tolist())
+
+    def test_edge_values(self):
+        edges = [0.0, -0.0, 1.0, np.nextafter(1.0, 0.0), 1e-4, np.nextafter(1e-4, 0.0),
+                 np.nextafter(1e-4, 1.0), 9e-5]
+        for centre in (0.001, 0.01):
+            below = above = centre
+            for _ in range(4):
+                below, above = np.nextafter(below, 0.0), np.nextafter(above, 1.0)
+                edges += [below, above]
+        for value in edges:
+            # alone (the value decides the block's path) and beside a short decimal
+            for values in (np.array([value]), np.array([[value, 0.5], [0.25, value]])):
+                assert _written(values) == json.dumps(values.tolist()), repr(value)
+        values = np.array([0.0, 1.0, 1e-4, 0.001, 0.01])
+        assert _written(values) == json.dumps(values.tolist())
+
+    @pytest.mark.parametrize("width", [1, 3, 50])
+    def test_row_counts_around_the_block_size(self, width):
+        rng = np.random.default_rng(width)
+        rows_per_block = max(1, self.BLOCK // width)
+        for count in (rows_per_block - 1, rows_per_block, rows_per_block + 1,
+                      2 * rows_per_block + 1):
+            values = np.round(rng.uniform(0.0, 1.0, (count, width)), 4)
+            assert _written(values) == json.dumps(values.tolist())
+            values[-1, -1] = rng.uniform()  # last block falls back to json.dumps
+            assert _written(values) == json.dumps(values.tolist())
+
+    def test_other_dtypes_are_left_to_json(self):
+        for values in (np.array([[0.5, 0.1]], dtype=np.float32),
+                       np.array([[0, 1], [1, 0]]),
+                       np.zeros((2, 0))):
+            assert _written(values) == json.dumps(values.tolist())
+        assert _written(np.zeros((1, 2), dtype=np.int64)) == "[[0, 0]]"
+
+    def test_short_decimals_are_formatted_without_json(self, monkeypatch):
+        values = np.round(np.random.default_rng(1).uniform(1e-3, 1.0, (300, 50)), 6)
+        expected = json.dumps(values.tolist())
+
+        class NoJson:
+            @staticmethod
+            def dumps(obj):
+                raise AssertionError("short decimals reached json.dumps")
+
+        monkeypatch.setattr(catalog_module, "json", NoJson)
+        assert _written(values) == expected
 
 
 class TestBuildTrainingSequences:

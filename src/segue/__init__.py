@@ -21,8 +21,9 @@ from .features import (
     StandardizationStats,
     SynthSpec,
     fit_standardizer,
+    fold_standardizer,
     generate_synthetic_catalog,
-    standardize_catalog,
+    standardize_windows,
 )
 from .model import (
     LstmLayerParams,
@@ -110,6 +111,7 @@ __all__ = [
     "dcg_similarity",
     "export_transition_matrix",
     "fit_standardizer",
+    "fold_standardizer",
     "forward",
     "generate",
     "generate_synthetic_catalog",
@@ -129,7 +131,7 @@ __all__ = [
     "save_model",
     "segment_catalog",
     "segment_track",
-    "standardize_catalog",
+    "standardize_windows",
     "train",
     "write_transition_csv",
     "zero_state",

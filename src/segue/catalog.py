@@ -15,45 +15,22 @@ for it, streamed to the file. Number arrays whose values are short decimals
 formatted in numpy a block of rows at a time; every other array goes through
 ``json.dumps``. Which path ran never shows in the file.
 
-Catalogs are treated as immutable after construction: segmentation and
-standardization build new ``Catalog`` objects rather than mutating in place.
+Catalogs are treated as immutable after construction: segmentation builds a
+new ``Catalog`` rather than mutating one in place.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
-logger = logging.getLogger(__name__)
-
-# Floor applied to per-dimension standard deviations when mapping between the
-# original [0, 1] feature space and standardized space.
-STD_FLOOR = 1e-8
-
 
 class CatalogError(ValueError):
     """A catalog file or catalog contents violate the format contract."""
-
-
-@dataclass(frozen=True)
-class StandardizationStats:
-    """Per-dimension mean and population standard deviation of segment vectors."""
-
-    mean: np.ndarray
-    std: np.ndarray
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """Map original-space vectors to z-scores, flooring tiny deviations."""
-        return (values - self.mean) / np.maximum(self.std, STD_FLOOR)
-
-    def invert(self, values: np.ndarray) -> np.ndarray:
-        """Map z-scored vectors back to the original space."""
-        return self.mean + np.maximum(self.std, STD_FLOOR) * values
 
 
 @dataclass(frozen=True)
@@ -104,7 +81,6 @@ class Catalog:
 
     dimension: int
     tracks: dict[str, Track]
-    stats: StandardizationStats | None = None  # set when segment vectors are z-scores
 
     def __len__(self) -> int:
         return len(self.tracks)
@@ -122,15 +98,6 @@ class Catalog:
     @property
     def is_segmented(self) -> bool:
         return len(self.tracks) > 0 and all(t.is_segmented for t in self)
-
-    @property
-    def standardized(self) -> bool:
-        return self.stats is not None
-
-    def to_original_space(self, values: np.ndarray) -> np.ndarray:
-        """Map vectors from this catalog's segment-feature space back to [0, 1]
-        (the identity for an unstandardized catalog)."""
-        return values if self.stats is None else self.stats.invert(values)
 
     @classmethod
     def from_tracks(cls, tracks: Iterable[Track]) -> "Catalog":
@@ -259,11 +226,6 @@ def save_catalog(catalog: Catalog, path: str | Path) -> None:
     is opened, so a catalog that would not load raises ``CatalogError`` naming
     the track and nothing is written.
     """
-    if catalog.standardized:
-        raise CatalogError(
-            "standardized catalogs are in-memory only and cannot be saved; "
-            "persist the original catalog and re-standardize at use"
-        )
     Catalog.from_tracks(catalog)
     path = Path(path)
     with path.open("w", encoding="utf-8") as handle:

@@ -18,7 +18,8 @@ from pathlib import Path
 
 from . import playlist as playlist_mod
 from .catalog import CatalogError, build_training_sequences, load_catalog, save_catalog
-from .features import SynthSpec, generate_synthetic_catalog, standardize_catalog
+from .features import SynthSpec, generate_synthetic_catalog
+from .features import fit_standardizer, fold_standardizer, standardize_windows
 from .model import ModelFormatError, load_model, save_model
 from .rnn import TrainConfig, TrainingDivergedError, init_model, train
 from .segmentation import SegmentationParams, segment_catalog
@@ -88,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="global gradient-norm clip (default 5.0)")
     train_p.add_argument("--seed", type=int, default=0, help="init and shuffle seed (default 0)")
     train_p.add_argument("--standardize", action="store_true",
-                         help="z-score each feature dimension before training (default off)")
+                         help="train on z-scored inputs; the saved model takes raw ones (default off)")
     train_p.add_argument("--loss-out", default=None, help="optional CSV path for the loss history")
 
     generate = sub.add_parser("generate", help="generate a playlist from a seed track")
@@ -121,8 +122,6 @@ def _add_generate_args(parser: argparse.ArgumentParser) -> None:
                         help="DCG ranking depth (default: feature dimension)")
     parser.add_argument("--nn-threshold", type=float, default=playlist_mod.DEFAULT_NN_THRESHOLD,
                         help="cosine distance above which a no-near-neighbour event is logged")
-    parser.add_argument("--standardize", action="store_true",
-                        help="z-score the catalog (re-fit on this catalog) before predicting")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -194,8 +193,6 @@ def _run_segment(args: argparse.Namespace) -> int:
 
 def _run_train(args: argparse.Namespace) -> int:
     catalog = load_catalog(args.input)
-    if args.standardize:
-        catalog = standardize_catalog(catalog)
     config = TrainConfig(
         context_length=args.context_length,
         epochs=args.epochs,
@@ -206,8 +203,13 @@ def _run_train(args: argparse.Namespace) -> int:
         clip_norm=args.clip_norm,
     )
     sequences = build_training_sequences(catalog, config.context_length)
+    stats = fit_standardizer(catalog) if args.standardize else None
+    if stats is not None:
+        sequences = standardize_windows(sequences, stats)
     model = init_model(args.layers, args.hidden, catalog.dimension, seed=args.seed)
     trained, report = train(model, sequences, config)
+    if stats is not None:
+        trained = fold_standardizer(trained, stats)
     save_model(trained, args.output)
     if args.loss_out:
         lines = ["epoch,loss"] + [
@@ -219,17 +221,9 @@ def _run_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_generation_inputs(args: argparse.Namespace):
-    catalog = load_catalog(args.input)
-    if args.standardize:
-        catalog = standardize_catalog(catalog)
-    model = load_model(args.model)
-    return catalog, model
-
-
 def _run_generate(args: argparse.Namespace) -> int:
     metric = Metric(kind=args.metric, dcg_depth=args.dcg_depth)
-    catalog, model = _load_generation_inputs(args)
+    catalog, model = load_catalog(args.input), load_model(args.model)
     result = playlist_mod.generate(
         catalog, model, args.seed_track, args.length, metric, nn_threshold=args.nn_threshold
     )
@@ -245,7 +239,7 @@ def _run_compare(args: argparse.Namespace) -> int:
     if not names:
         raise ValueError("no metrics given")
     metrics = [Metric(kind=name, dcg_depth=args.dcg_depth) for name in names]
-    catalog, model = _load_generation_inputs(args)
+    catalog, model = load_catalog(args.input), load_model(args.model)
     playlists: dict[str, dict] = {}
     coherence: dict[str, dict] = {}
     for metric in metrics:

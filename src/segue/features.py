@@ -1,9 +1,9 @@
-"""Per-dimension feature standardization and a synthetic catalog generator.
+"""Training-side standardization and a synthetic catalog generator.
 
-Standardization is an opt-in preprocessing step: it z-scores each feature
-dimension over all segment vectors of a catalog. Similarity ranking always
-happens in the original [0, 1] space, so predictions and candidates are mapped
-back through the stored statistics before scoring.
+Standardization is opt-in, for training only, and known only here: the
+windows are z-scored while the targets stay in [0, 1], where the sigmoid head
+reaches them, and ``fold_standardizer`` then moves the statistics into the
+model's first layer, so the saved model takes raw [0, 1] sections like any other.
 
 The synthetic generator plants the structure the engine is built around: each
 track has a handful of consistently strong dimensions (shared within a cluster
@@ -14,15 +14,35 @@ the boundaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import Catalog, Segment, StandardizationStats, Track
+from .catalog import Catalog, Track, TrainingPair
+from .model import SequenceModel
 
 STRONG_LEVEL = 0.8
 WEAK_LEVEL = 0.1
 FLUCTUATION_RANGE = (0.2, 0.8)
+
+STD_FLOOR = 1e-8  # a constant dimension is divided by this, not by zero
+
+
+@dataclass(frozen=True)
+class StandardizationStats:
+    """Per-dimension mean and population standard deviation of segment vectors."""
+
+    mean: np.ndarray
+    std: np.ndarray
+
+    @property
+    def scale(self) -> np.ndarray:
+        """The divisor of each dimension: its standard deviation, floored."""
+        return np.maximum(self.std, STD_FLOOR)
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """Map [0, 1] vectors to z-scores."""
+        return (values - self.mean) / self.scale
 
 
 def fit_standardizer(catalog: Catalog) -> StandardizationStats:
@@ -35,22 +55,27 @@ def fit_standardizer(catalog: Catalog) -> StandardizationStats:
     return StandardizationStats(mean=pooled.mean(axis=0), std=pooled.std(axis=0))
 
 
-def standardize_catalog(catalog: Catalog, stats: StandardizationStats | None = None) -> Catalog:
-    """Return a catalog whose segment vectors are z-scored (frames untouched)."""
-    if catalog.standardized:
-        raise ValueError("catalog is already standardized")
-    if stats is None:
-        stats = fit_standardizer(catalog)
-    tracks = {}
-    for track in catalog:
-        segments = [
-            Segment(start=seg.start, features=stats.apply(seg.features))
-            for seg in track.segments
-        ]
-        tracks[track.id] = replace(track, segments=segments)
-    return replace(
-        catalog, tracks=tracks, stats=StandardizationStats(stats.mean.copy(), stats.std.copy())
-    )
+def standardize_windows(
+    pairs: list[TrainingPair], stats: StandardizationStats
+) -> list[TrainingPair]:
+    """Z-score the real rows of every window; padding stays zero, targets are kept as they are."""
+    return [
+        pair._replace(window=np.where(pair.mask[:, None], stats.apply(pair.window), 0.0))
+        for pair in pairs
+    ]
+
+
+def fold_standardizer(model: SequenceModel, stats: StandardizationStats) -> SequenceModel:
+    """A copy of a model trained on z-scored windows that takes raw windows instead.
+
+    Layer 0's ``W_x (x - mean) / scale + b`` is ``(W_x / scale) x + b - W_x (mean / scale)``.
+    """
+    folded = model.copy()
+    layer = folded.layers[0]
+    w_x = layer.weight[:, : model.dimension]
+    layer.bias -= w_x @ (stats.mean / stats.scale)
+    w_x /= stats.scale
+    return folded
 
 
 @dataclass(frozen=True)

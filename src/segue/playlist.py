@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 import time
 from dataclasses import dataclass
 
@@ -81,30 +82,35 @@ class Playlist:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Playlist":
-        metric = Metric(kind=data["metric"], dcg_depth=data.get("dcg_depth"))
-        steps = [
-            PlaylistStep(
-                prediction=np.asarray(entry["prediction"], dtype=np.float64),
-                chosen_id=entry["chosen"],
-                chosen_score=entry["score"],
-                gap=NeighbourGap(
-                    best_id=entry["chosen"],
-                    best_score=entry["score"],
-                    median_score=entry["median_score"],
-                    margin=entry["margin"],
-                    best_cosine_distance=entry["best_cosine_distance"],
-                ),
-                no_near_neighbour=entry["no_near_neighbour"],
+        """Rebuild a playlist from ``to_dict`` output; a malformed one raises ``ValueError``."""
+        try:
+            steps = [
+                PlaylistStep(
+                    prediction=np.asarray(entry["prediction"], dtype=np.float64),
+                    chosen_id=entry["chosen"],
+                    chosen_score=entry["score"],
+                    gap=NeighbourGap(
+                        best_id=entry["chosen"],
+                        best_score=entry["score"],
+                        median_score=entry["median_score"],
+                        margin=entry["margin"],
+                        best_cosine_distance=entry["best_cosine_distance"],
+                    ),
+                    no_near_neighbour=entry["no_near_neighbour"],
+                )
+                for entry in data["steps"]
+            ]
+            return cls(
+                track_ids=list(data["tracks"]),
+                steps=steps,
+                metric=Metric(kind=data["metric"], dcg_depth=data.get("dcg_depth")),
+                seed_id=data["seed"],
+                truncated=data["truncated"],
             )
-            for entry in data["steps"]
-        ]
-        return cls(
-            track_ids=list(data["tracks"]),
-            steps=steps,
-            metric=metric,
-            seed_id=data["seed"],
-            truncated=data["truncated"],
-        )
+        except KeyError as exc:
+            raise ValueError(f"playlist is missing key {exc}") from None
+        except TypeError:
+            raise ValueError("playlist is not a JSON object as generate writes it") from None
 
 
 def generate(
@@ -124,6 +130,8 @@ def generate(
     """
     if length < 1:
         raise ValueError("length must be >= 1")
+    if not math.isfinite(nn_threshold):
+        raise ValueError(f"nn_threshold must be finite, got {nn_threshold}")
     if seed_id not in catalog:
         raise ValueError(f"seed track '{seed_id}' not in catalog")
     if not catalog.is_segmented:
@@ -209,6 +217,11 @@ class TransitionMatrix:
 
 def export_transition_matrix(playlist: Playlist, catalog: Catalog) -> TransitionMatrix:
     """Stack every chosen track's segment vectors, interleaving prediction rows."""
+    if len(playlist.steps) != len(playlist.track_ids) - 1:
+        raise ValueError(
+            f"playlist has {len(playlist.steps)} steps for {len(playlist.track_ids)} tracks; "
+            "expected one step fewer than tracks"
+        )
     labels: list[str] = []
     rows: list[np.ndarray] = []
     last = len(playlist.track_ids) - 1

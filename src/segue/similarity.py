@@ -9,9 +9,8 @@ reduces row-wise (elementwise product, then a sum along each row), never with
 it, while a row-wise sum gives a row the same bits alone or stacked, so a
 catalog-wide ranking equals scoring the candidates one at a time, exactly.
 
-All comparisons happen in the original [0, 1] feature space: when a catalog is
-standardized, both the prediction and the candidates' start segments are
-mapped back through the catalog's stored statistics before scoring.
+Predictions and start sections share one feature space, the catalog's
+[0, 1] tag probabilities, so both are scored as they are.
 
 Ranking is two steps: ``StartSections.of`` stacks the start sections once,
 and ``StartSections.ranked`` scores that stack against a prediction, leaving
@@ -155,12 +154,10 @@ def rank_candidates(
 ) -> RankedCandidates:
     """Rank all non-excluded tracks by comparing their start segments to ``pred``.
 
-    ``pred`` must be in the catalog's segment-vector space; scoring happens in
-    the original [0, 1] space. Ties break by ascending track id, so rankings
-    are deterministic.
+    Ties break by ascending track id, so rankings are deterministic.
     """
     starts = StartSections.of(catalog)
-    order, scores, _ = starts.ranked(pred, metric, starts.mask(exclude))
+    order, scores = starts.ranked(pred, metric, starts.mask(exclude))
     return RankedCandidates(
         entries=list(zip(starts.ids[order].tolist(), scores.tolist())), metric=metric
     )
@@ -179,7 +176,7 @@ def nearest_neighbour_gap(
 
 @dataclass(frozen=True)
 class StartSections:
-    """Every track's id and start section, mapped to the original space, in catalog order.
+    """Every track's id and start section, in catalog order.
 
     Built once and scored against any number of predictions, each with a
     boolean ``used`` mask (one entry per row) marking the tracks that are no
@@ -188,14 +185,13 @@ class StartSections:
     ``_scores`` works row by row.
     """
 
-    catalog: Catalog
     ids: np.ndarray  # (M,) track ids
-    rows: np.ndarray  # (M, D) original-space start sections, C-ordered
+    rows: np.ndarray  # (M, D) start sections, C-ordered
 
     @classmethod
     def of(cls, catalog: Catalog) -> "StartSections":
         rows = np.stack([track.start_segment() for track in catalog])
-        return cls(catalog=catalog, ids=np.array(catalog.track_ids), rows=catalog.to_original_space(rows))
+        return cls(ids=np.array(catalog.track_ids), rows=rows)
 
     def mask(self, exclude: frozenset[str] | set[str]) -> np.ndarray:
         """The ``used`` mask that leaves out the ``exclude`` ids."""
@@ -203,31 +199,30 @@ class StartSections:
 
     def ranked(
         self, pred: np.ndarray, metric: Metric, used: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Score the unused rows once against ``pred``.
 
-        Returns their row positions and scores best first (ties by ascending
-        id), then the prediction mapped to the original space.
+        Returns their row positions and scores, best first (ties by ascending id).
         """
         pred = np.asarray(pred, dtype=np.float64)
-        dim = self.catalog.dimension
+        dim = self.rows.shape[1]
         if pred.shape != (dim,):
             raise ValueError(f"dimension mismatch: {pred.shape} vs catalog dimension {dim}")
         keep = np.flatnonzero(~used)
         if not keep.size:
             raise ValueError("no candidate tracks remain")
-        pred = self.catalog.to_original_space(pred)
         scores = _scores(pred, self.rows, metric)[keep]
         order = np.lexsort((self.ids[keep], -scores if metric.higher_is_better else scores))
-        return keep[order], scores[order], pred
+        return keep[order], scores[order]
 
     def gap(self, pred: np.ndarray, metric: Metric, used: np.ndarray) -> tuple[NeighbourGap, int]:
         """The neighbour gap among the unused rows, and the best one's row position."""
-        order, scores, pred_orig = self.ranked(pred, metric, used)
+        pred = np.asarray(pred, dtype=np.float64)
+        order, scores = self.ranked(pred, metric, used)
         best_score = float(scores[0])
         median = float(np.median(scores))
         margin = best_score - median if metric.higher_is_better else median - best_score
-        cosine = scores if metric.kind == "cosine" else _scores(pred_orig, self.rows, Metric("cosine"))[order]
+        cosine = scores if metric.kind == "cosine" else _scores(pred, self.rows, Metric("cosine"))[order]
         gap = NeighbourGap(
             best_id=str(self.ids[order[0]]),
             best_score=best_score,

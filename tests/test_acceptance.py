@@ -16,7 +16,13 @@ from test_segmentation import kernel_oracle, novelty_oracle, ssm_oracle
 
 from segue import cli
 from segue.catalog import Catalog, Track, TrainingPair, build_training_sequences, save_catalog
-from segue.features import SynthSpec, generate_synthetic_catalog
+from segue.features import (
+    SynthSpec,
+    fit_standardizer,
+    fold_standardizer,
+    generate_synthetic_catalog,
+    standardize_windows,
+)
 from segue.model import load_model, save_model
 from segue.playlist import export_transition_matrix, generate
 from segue.rnn import (
@@ -302,15 +308,16 @@ def cluster_pipeline(tmp_path_factory):
     catalog = segment_catalog(generate_synthetic_catalog(spec))
     pairs = build_training_sequences(catalog, 8)
     config = TrainConfig(context_length=8, epochs=300, learning_rate=1e-3, batch_size=16, seed=0)
-    model, _ = train(init_model(2, 32, spec.dimension, seed=0), pairs, config)
+    model, losses = train(init_model(2, 32, spec.dimension, seed=0), pairs, config)
 
     root = tmp_path_factory.mktemp("cluster")
     catalog_path = root / "catalog.jsonl"
     model_path = root / "model.sgm"
     save_catalog(catalog, catalog_path)
     save_model(model, model_path)
-    return {"spec": spec, "catalog": catalog, "model": model,
-            "catalog_path": catalog_path, "model_path": model_path, "root": root}
+    return {"spec": spec, "catalog": catalog, "model": model, "pairs": pairs, "config": config,
+            "final_loss": losses.final_loss, "catalog_path": catalog_path,
+            "model_path": model_path, "root": root}
 
 
 def test_criterion_7_end_to_end_coherence(cluster_pipeline):
@@ -361,6 +368,34 @@ def test_criterion_7_end_to_end_coherence(cluster_pipeline):
         fraction >= 0.8 and compare_ok,
         f"{coherent_seeds}/{spec.track_count} seeds keep >=4/5 in cluster; compare emits 3 playlists",
     )
+
+
+def test_standardized_training_on_the_desk_config(cluster_pipeline):
+    """``train --standardize``'s path: z-scored windows, [0, 1] targets, then the fold.
+
+    Its targets are the plain run's, so the sigmoid head can reach them and
+    the loss lands near the plain run's; the folded model predicts from raw
+    windows what the trained one predicts from z-scored windows.
+    """
+    catalog, pairs = cluster_pipeline["catalog"], cluster_pipeline["pairs"]
+    stats = fit_standardizer(catalog)
+    standardized = standardize_windows(pairs, stats)
+    assert all(
+        scaled.target.tobytes() == plain.target.tobytes()
+        for scaled, plain in zip(standardized, pairs, strict=True)
+    )
+    model = init_model(2, 32, catalog.dimension, seed=0)
+    trained, losses = train(model, standardized, cluster_pipeline["config"])
+    ratio = losses.final_loss / cluster_pipeline["final_loss"]
+
+    masks = np.stack([pair.mask for pair in pairs])
+    raw = np.stack([pair.window for pair in pairs])
+    z = np.stack([pair.window for pair in standardized])
+    gap = np.abs(forward(fold_standardizer(trained, stats), raw, masks) - forward(trained, z, masks))
+    print(f"  standardized final loss {losses.final_loss:.4g} vs plain "
+          f"{cluster_pipeline['final_loss']:.4g} (x{ratio:.3f}); fold gap {gap.max():.3g}")
+    assert ratio <= 1.5
+    assert gap.max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------

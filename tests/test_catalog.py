@@ -17,7 +17,7 @@ from segue.catalog import (
     load_catalog,
     save_catalog,
 )
-from segue.features import SynthSpec, generate_synthetic_catalog, standardize_catalog
+from segue.features import SynthSpec, generate_synthetic_catalog
 from segue.segmentation import segment_catalog
 
 
@@ -183,15 +183,6 @@ class TestSaveCatalog:
         path = tmp_path / "seg.jsonl"
         save_catalog(catalog, path)
         assert _catalogs_equal(catalog, load_catalog(path))
-
-    def test_standardized_catalog_refuses_save(self, tmp_path):
-        catalog = segmented_catalog({
-            "a": np.array([[0.1, 0.9], [0.4, 0.5]]),
-            "b": np.array([[0.7, 0.2], [0.3, 0.8]]),
-        })
-        standardized = standardize_catalog(catalog)
-        with pytest.raises(CatalogError, match="in-memory"):
-            save_catalog(standardized, tmp_path / "nope.jsonl")
 
     @pytest.mark.parametrize("frames, starts, message", [
         ([[0.1, np.nan], [0.2, 0.3]], [0], "non-finite"),

@@ -98,6 +98,7 @@ class TestPipeline:
         assert csv_path.exists()
 
     def test_standardize_flag_runs_end_to_end(self, pipeline, tmp_path):
+        # the statistics travel inside the model, so generate takes no flag
         model = tmp_path / "std.sgm"
         playlist_path = tmp_path / "playlist.json"
         assert run(["train", "-i", str(pipeline["segmented"]), "-o", str(model),
@@ -105,8 +106,15 @@ class TestPipeline:
                     "--standardize"]) == 0
         assert run(["generate", "-i", str(pipeline["segmented"]), "-m", str(model),
                     "--seed-track", "t00", "--length", "3", "--metric", "dcg",
-                    "--standardize", "-o", str(playlist_path)]) == 0
+                    "-o", str(playlist_path)]) == 0
         assert len(json.loads(playlist_path.read_text())["tracks"]) == 3
+
+    @pytest.mark.parametrize("command", [["generate", "--metric", "dcg"], ["compare"]])
+    def test_standardize_is_a_train_only_flag(self, pipeline, tmp_path, command, capsys):
+        code = run([*command, "-i", str(pipeline["segmented"]), "-m", str(pipeline["model"]),
+                    "--seed-track", "t00", "--standardize", "-o", str(tmp_path / "x.json")])
+        assert code == 1
+        assert "--standardize" in capsys.readouterr().err
 
 
 class TestReproducibility:
@@ -173,6 +181,33 @@ class TestExitCodes:
         code = run(["generate", "-i", str(pipeline["segmented"]), "-m", str(pipeline["model"]),
                     "--seed-track", "zz", "--metric", "dcg", "-o", str(tmp_path / "x.json")])
         assert code == 2
+
+    def test_non_finite_nn_threshold_is_data_error(self, pipeline, tmp_path, capsys):
+        for value in ("nan", "inf", "-inf"):
+            out = tmp_path / f"{value}.json"
+            code = run(["generate", "-i", str(pipeline["segmented"]), "-m", str(pipeline["model"]),
+                        "--seed-track", "t00", "--metric", "dcg", f"--nn-threshold={value}",
+                        "-o", str(out)])
+            assert code == 2
+            assert "nn_threshold must be finite" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda data: {k: v for k, v in data.items() if k != "metric"}, "missing key 'metric'"),
+        (lambda data: [data], "not a JSON object"),
+        (lambda data: {**data, "steps": []}, "0 steps for 3 tracks"),
+    ], ids=["missing-metric", "top-level-list", "no-steps"])
+    def test_malformed_playlist_is_data_error(self, pipeline, tmp_path, capsys, edit, message):
+        playlist_path = tmp_path / "playlist.json"
+        assert run(["generate", "-i", str(pipeline["segmented"]), "-m", str(pipeline["model"]),
+                    "--seed-track", "t01", "--length", "3", "--metric", "cosine",
+                    "-o", str(playlist_path)]) == 0
+        playlist_path.write_text(json.dumps(edit(json.loads(playlist_path.read_text()))))
+        capsys.readouterr()
+        code = run(["export-transitions", "-i", str(pipeline["segmented"]),
+                    "-p", str(playlist_path), "-o", str(tmp_path / "t.csv")])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     def test_divergence_maps_to_exit_three(self, pipeline, tmp_path, monkeypatch, capsys):
         def explode(*args, **kwargs):

@@ -4,15 +4,19 @@ import numpy as np
 import pytest
 
 from conftest import segmented_catalog
-from segue.catalog import STD_FLOOR
+from segue.catalog import TrainingPair, build_training_sequences
 from segue.features import (
+    STD_FLOOR,
     STRONG_LEVEL,
     WEAK_LEVEL,
+    StandardizationStats,
     SynthSpec,
     fit_standardizer,
+    fold_standardizer,
     generate_synthetic_catalog,
-    standardize_catalog,
+    standardize_windows,
 )
+from segue.rnn import forward, init_model
 
 
 class TestStandardizer:
@@ -34,40 +38,28 @@ class TestStandardizer:
         np.testing.assert_allclose(stats.apply(np.array([0.0, 1.0])), [-1.0, 1.0], atol=1e-12)
         np.testing.assert_allclose(stats.apply(np.array([1.0, 0.0])), [1.0, -1.0], atol=1e-12)
 
-    def test_invert_after_apply_is_identity(self):
-        rng = np.random.default_rng(4)
-        catalog = segmented_catalog({
-            f"t{i}": rng.uniform(0, 1, (int(rng.integers(2, 6)), 8)) for i in range(5)
-        })
-        stats = fit_standardizer(catalog)
-        for track in catalog:
-            vectors = track.segment_matrix()
-            np.testing.assert_allclose(stats.invert(stats.apply(vectors)), vectors, atol=1e-9)
-
     def test_pooled_statistics_after_apply(self):
+        # each track is one vector twice, so its one window row is that vector,
+        # and the statistics, pooled over both copies, are those of the rows
         rng = np.random.default_rng(8)
-        catalog = segmented_catalog({f"t{i}": rng.uniform(0, 1, (6, 5)) for i in range(6)})
-        standardized = standardize_catalog(catalog)
-        pooled = np.vstack([t.segment_matrix() for t in standardized])
-        np.testing.assert_allclose(pooled.mean(axis=0), 0.0, atol=1e-9)
-        np.testing.assert_allclose(pooled.std(axis=0), 1.0, atol=1e-6)
-
-    def test_standardized_catalog_carries_stats(self):
         catalog = segmented_catalog({
-            "a": np.array([[0.1, 0.9], [0.5, 0.5]]),
-            "b": np.array([[0.9, 0.1]]),
+            f"t{i}": np.repeat(rng.uniform(0, 1, (1, 5)), 2, axis=0) for i in range(36)
         })
-        standardized = standardize_catalog(catalog)
-        assert standardized.standardized
-        assert standardized.stats is not None
-        original = catalog.tracks["a"].segments[0].features
-        recovered = standardized.to_original_space(standardized.tracks["a"].segments[0].features)
-        np.testing.assert_allclose(recovered, original, atol=1e-9)
+        pairs = standardize_windows(build_training_sequences(catalog, 3), fit_standardizer(catalog))
+        real = np.vstack([pair.window[pair.mask] for pair in pairs])
+        assert real.shape == (36, 5)
+        np.testing.assert_allclose(real.mean(axis=0), 0.0, atol=1e-9)
+        np.testing.assert_allclose(real.std(axis=0), 1.0, atol=1e-6)
 
-    def test_restandardizing_rejected(self):
-        catalog = segmented_catalog({"a": np.array([[0.1, 0.9], [0.5, 0.5]])})
-        with pytest.raises(ValueError, match="already standardized"):
-            standardize_catalog(standardize_catalog(catalog))
+    def test_windows_keep_padding_zero_and_targets_identical(self):
+        rng = np.random.default_rng(5)
+        catalog = segmented_catalog({f"t{i}": rng.uniform(0, 1, (4, 3)) for i in range(3)})
+        plain = build_training_sequences(catalog, 3)
+        standardized = standardize_windows(plain, fit_standardizer(catalog))
+        for before, after in zip(plain, standardized):
+            assert (after.window[~after.mask] == 0.0).all()
+            assert (after.mask == before.mask).all()
+            assert after.target is before.target
 
     def test_unsegmented_catalog_rejected(self):
         from segue.catalog import Catalog, Track
@@ -80,6 +72,72 @@ class TestStandardizer:
         catalog = segmented_catalog({"a": np.array([[0.5, 0.5]])})
         with pytest.raises(ValueError, match="2 segment vectors"):
             fit_standardizer(catalog)
+
+
+def _stats_with_floored_dimension(rng, dim, floored, level):
+    mean = rng.uniform(0.2, 0.8, dim)
+    std = rng.uniform(0.05, 0.3, dim)
+    mean[floored], std[floored] = level, 0.0
+    return StandardizationStats(mean=mean, std=std)
+
+
+def _oracle_windows(rng, dim, floored, level):
+    """Raw (4, 7, D) windows and masks: all real, left-padded, gapped, fully masked.
+
+    The floored dimension sits at ``level`` in every real row, as it did in
+    the segment vectors its zero deviation was fitted on.
+    """
+    windows = rng.uniform(0, 1, (4, 7, dim))
+    windows[..., floored] = level
+    mask = np.ones((4, 7), dtype=bool)
+    mask[1, :3] = False  # left padding
+    mask[2, [1, 4]] = False  # gaps
+    mask[3] = False  # fully masked
+    windows[~mask] = 0.0
+    return windows, mask
+
+
+def _fold_gap(layers, level):
+    """Largest |folded model on raw windows - model on z-scored windows|, and the model."""
+    rng = np.random.default_rng(20 + layers)
+    dim, floored = 6, 2
+    stats = _stats_with_floored_dimension(rng, dim, floored, level)
+    model = init_model(layers, 5, dim, seed=layers)
+    before = model.copy()
+    raw, mask = _oracle_windows(rng, dim, floored, level)
+    pairs = [TrainingPair(window, row_mask, np.zeros(dim)) for window, row_mask in zip(raw, mask)]
+    z = np.stack([pair.window for pair in standardize_windows(pairs, stats)])
+    folded = fold_standardizer(model, stats)
+    assert model.equals(before)  # the fold works on a copy
+    gap = np.abs(forward(folded, raw, mask) - forward(model, z, mask)).max()
+    return gap, model, floored
+
+
+class TestFoldStandardizer:
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_folded_model_on_raw_equals_model_on_z_scores(self, layers):
+        # the floored dimension is a tag that never occurs (level 0), so its
+        # folded column and bias share are both exactly zero
+        gap, _, _ = _fold_gap(layers, level=0.0)
+        assert gap <= 1e-12
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_floored_dimension_at_a_nonzero_level(self, layers):
+        """Bound: one rounding unit of the two terms that cancel.
+
+        The model sees z = 0 in the floored column. The folded model adds
+        ``(W_x[:, k] / STD_FLOOR) * level`` in its input product and subtracts
+        ``W_x[:, k] * (level / STD_FLOOR)`` in its bias: each is about
+        ``|W_x[:, k]| * level * 1e8``, so the float64 difference leaves up to
+        eps times that (about 1e-8) in the gate pre-activations, whatever
+        the order of the fold's operations. Gates and output head pass on
+        less than that (about 1e-10 here), so the bound is that one unit.
+        """
+        level = 0.8
+        gap, model, floored = _fold_gap(layers, level)
+        column = model.layers[0].weight[:, floored]
+        bound = np.finfo(np.float64).eps * np.abs(column).max() * level / STD_FLOOR
+        assert gap <= bound
 
 
 class TestSyntheticCatalog:

@@ -169,6 +169,31 @@ class TestGenerate:
         with pytest.raises(ValueError, match="length"):
             generate(make_catalog(), make_model(), "t00", 0, Metric("l2"))
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_nn_threshold_rejected(self, threshold):
+        # a NaN threshold would make every no-near-neighbour check false
+        with pytest.raises(ValueError, match="nn_threshold must be finite"):
+            generate(make_catalog(), make_model(), "t00", 3, Metric("l2"), nn_threshold=threshold)
+
+    @pytest.mark.parametrize("key", ["seed", "metric", "tracks", "truncated", "steps"])
+    def test_from_dict_names_a_missing_key(self, key):
+        data = generate(make_catalog(), make_model(), "t00", 3, Metric("l2")).to_dict()
+        del data[key]
+        with pytest.raises(ValueError, match=f"playlist is missing key '{key}'"):
+            Playlist.from_dict(data)
+
+    def test_from_dict_names_a_missing_step_key(self):
+        data = generate(make_catalog(), make_model(), "t00", 3, Metric("l2")).to_dict()
+        del data["steps"][1]["margin"]
+        with pytest.raises(ValueError, match="playlist is missing key 'margin'"):
+            Playlist.from_dict(data)
+
+    @pytest.mark.parametrize("data", [[], "playlist", {"seed": "t00", "metric": "l2",
+                                      "tracks": ["t00"], "truncated": False, "steps": 3}])
+    def test_from_dict_rejects_other_shapes(self, data):
+        with pytest.raises(ValueError, match="not a JSON object"):
+            Playlist.from_dict(data)
+
     def test_round_trips_through_dict(self):
         catalog = make_catalog(track_count=5, seed=7)
         result = generate(catalog, make_model(seed=7), "t03", 4, Metric("dcg"))
@@ -223,6 +248,13 @@ class TestExportTransitionMatrix:
         np.testing.assert_array_equal(parsed.rows, matrix.rows)
         header = path.read_text().splitlines()[0]
         assert header == "label," + ",".join(f"dim_{d}" for d in range(4))
+
+    def test_step_count_mismatch_rejected(self):
+        catalog = make_catalog()
+        result = Playlist(track_ids=["t00", "t01", "t02"], steps=[], metric=Metric("l2"),
+                          seed_id="t00")
+        with pytest.raises(ValueError, match="0 steps for 3 tracks"):
+            export_transition_matrix(result, catalog)
 
     def test_unknown_track_rejected(self):
         catalog = make_catalog()

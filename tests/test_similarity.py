@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from conftest import segmented_catalog
-from segue.features import standardize_catalog
 from segue.similarity import (
     Metric,
     NeighbourGap,
@@ -191,28 +190,11 @@ class TestRankCandidates:
             rank_candidates(np.zeros(6), catalog, Metric("l2"), exclude=set(catalog.track_ids))
 
     def test_wrong_length_prediction_rejected(self, catalog):
-        for candidates in (catalog, standardize_catalog(catalog)):
-            for bad in (np.zeros(5), np.zeros(7)):
-                with pytest.raises(ValueError, match="mismatch"):
-                    rank_candidates(bad, candidates, Metric("cosine"))
-                with pytest.raises(ValueError, match="mismatch"):
-                    nearest_neighbour_gap(bad, candidates, Metric("cosine"))
-
-    def test_standardized_catalog_ranks_in_original_space(self, catalog):
-        """Ranking a standardized catalog = ranking the original with the mapped prediction."""
-        standardized = standardize_catalog(catalog)
-        rng = np.random.default_rng(13)
-        for metric in (Metric("cosine"), Metric("l2"), Metric("dcg"), Metric("dcg", dcg_depth=2)):
-            pred = rng.standard_normal(6)
-            ranked = rank_candidates(pred, standardized, metric, exclude={"t03"}).entries
-            expected = rank_candidates(
-                standardized.to_original_space(pred), catalog, metric, exclude={"t03"}
-            ).entries
-            assert [tid for tid, _ in ranked] == [tid for tid, _ in expected]
-            np.testing.assert_allclose(
-                [value for _, value in ranked], [value for _, value in expected],
-                rtol=1e-12, atol=1e-12,
-            )
+        for bad in (np.zeros(5), np.zeros(7)):
+            with pytest.raises(ValueError, match="mismatch"):
+                rank_candidates(bad, catalog, Metric("cosine"))
+            with pytest.raises(ValueError, match="mismatch"):
+                nearest_neighbour_gap(bad, catalog, Metric("cosine"))
 
 
 class TestNearestNeighbourGap:
@@ -262,13 +244,8 @@ class TestNearestNeighbourGap:
 
 
 def brute_force_gap(pred, catalog, metric, exclude):
-    """Score candidates one at a time in the original space, then sort, take the median."""
-    pred = catalog.to_original_space(pred)
-    starts = {
-        track.id: catalog.to_original_space(track.start_segment())
-        for track in catalog
-        if track.id not in exclude
-    }
+    """Score candidates one at a time, then sort, take the median."""
+    starts = {track.id: track.start_segment() for track in catalog if track.id not in exclude}
     rows = [(track_id, score(pred, start, metric)) for track_id, start in starts.items()]
     reverse = metric.higher_is_better
     ordered = sorted(rows, key=lambda item: (-item[1] if reverse else item[1], item[0]))
@@ -285,7 +262,7 @@ def brute_force_gap(pred, catalog, metric, exclude):
 
 
 def test_one_pass_ranking_matches_scoring_one_candidate_at_a_time():
-    """Seeded cases: shapes, exclusions, duplicate and all-zero starts, standardized catalogs."""
+    """Seeded cases: shapes, exclusions, duplicate and all-zero starts."""
     rng = np.random.default_rng(14)
     for case in range(50):
         dim = int(rng.integers(2, 51))
@@ -300,13 +277,9 @@ def test_one_pass_ranking_matches_scoring_one_candidate_at_a_time():
             vectors[ids[1]][0] = vectors[ids[0]][0]  # duplicate start: ties break by id
             vectors[ids[2]][0] = 0.0  # all-zero start: cosine distance 1
         catalog = segmented_catalog(vectors)
-        if case % 3 == 0 and sum(len(v) for v in vectors.values()) >= 2:
-            catalog = standardize_catalog(catalog)
         exclude = {track_id for track_id in ids[1:] if rng.uniform() < 0.3}
         if case % 5 == 0:
             pred = catalog.tracks[ids[0]].start_segment().copy()
-        elif catalog.standardized:
-            pred = rng.standard_normal(dim)
         else:
             pred = rng.uniform(0, 1, dim)
         depth = int(rng.integers(1, dim + 1))

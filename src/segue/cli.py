@@ -192,7 +192,6 @@ def _run_segment(args: argparse.Namespace) -> int:
 
 
 def _run_train(args: argparse.Namespace) -> int:
-    catalog = load_catalog(args.input)
     config = TrainConfig(
         context_length=args.context_length,
         epochs=args.epochs,
@@ -202,6 +201,7 @@ def _run_train(args: argparse.Namespace) -> int:
         seed=args.seed,
         clip_norm=args.clip_norm,
     )
+    catalog = load_catalog(args.input)
     sequences = build_training_sequences(catalog, config.context_length)
     stats = fit_standardizer(catalog) if args.standardize else None
     if stats is not None:

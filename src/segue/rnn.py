@@ -19,6 +19,7 @@ steps, again layer by layer.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass
 
@@ -54,8 +55,10 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.context_length < 1 or self.epochs < 1 or self.batch_size < 1:
             raise ValueError("context_length, epochs, and batch_size must be positive")
-        if self.learning_rate < 0 or self.clip_norm <= 0:
-            raise ValueError("learning_rate must be >= 0 and clip_norm > 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        if not self.clip_norm > 0:  # also rejects NaN; inf means never clip
+            raise ValueError(f"clip_norm must be > 0, got {self.clip_norm}")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer '{self.optimizer}'")
 

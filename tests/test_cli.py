@@ -171,6 +171,25 @@ class TestExitCodes:
         code = run(["segment", "-i", str(tmp_path / "absent.jsonl"), "-o", str(tmp_path / "o.jsonl")])
         assert code == 2
 
+    @pytest.mark.parametrize("flag, field", [
+        ("--kernel-sigma=nan", "kernel_sigma"), ("--kernel-sigma=inf", "kernel_sigma"),
+        ("--peak-threshold=nan", "peak_threshold"), ("--peak-threshold=inf", "peak_threshold"),
+    ])
+    def test_non_finite_segment_flag_fails_before_reading(self, tmp_path, capsys, flag, field):
+        code = run(["segment", "-i", str(tmp_path / "absent.jsonl"), "-o", str(tmp_path / "o.jsonl"), flag])
+        assert code == 2
+        assert f"{field} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, field", [
+        ("--clip-norm=nan", "clip_norm"), ("--learning-rate=nan", "learning_rate"),
+        ("--learning-rate=inf", "learning_rate"),
+    ])
+    def test_bad_train_flag_fails_before_reading(self, tmp_path, capsys, flag, field):
+        code = run(["train", "-i", str(tmp_path / "absent.jsonl"), "-o", str(tmp_path / "m.sgm"), flag])
+        assert code == 2
+        assert f"{field} must be" in capsys.readouterr().err
+        assert not (tmp_path / "m.sgm").exists()
+
     def test_unsegmented_catalog_is_data_error(self, pipeline, tmp_path, capsys):
         code = run(["train", "-i", str(pipeline["catalog"]), "-o", str(tmp_path / "m.sgm"),
                     "--epochs", "1"])

@@ -425,6 +425,22 @@ class TestTrain:
             train(model, [pair], TrainConfig(context_length=2, epochs=3))
         assert info.value.epoch == 1
 
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", math.nan), ("learning_rate", math.inf), ("learning_rate", -1e-3),
+        ("clip_norm", math.nan), ("clip_norm", 0.0), ("clip_norm", -math.inf),
+    ])
+    def test_config_rejects_bad_rate_and_clip_norm(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_infinite_clip_norm_never_clips(self, caplog):
+        pairs = toy_pairs(count=6, context=3, dimension=4, seed=4)
+        config = TrainConfig(context_length=3, epochs=2, batch_size=4, seed=4, clip_norm=math.inf)
+        with caplog.at_level(logging.INFO, logger="segue.rnn"):
+            train(init_model(2, 4, 4, seed=4), pairs, config)
+        lines = [r.getMessage() for r in caplog.records if r.name == "segue.rnn"]
+        assert len(lines) == 2 and all("clipped=0/2 " in line for line in lines)
+
     def test_logs_one_progress_line_per_epoch(self, caplog):
         pairs = toy_pairs(count=6, context=3, dimension=4, seed=4)
         config = TrainConfig(context_length=3, epochs=3, batch_size=4, seed=4, clip_norm=1e-6)

@@ -2,14 +2,18 @@
 
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import one_hot_block_track
 from segue.catalog import Catalog, Track
 from segue.segmentation import (
     SegmentationParams,
+    _block_frames,
+    _kernel_line,
     checkerboard_kernel,
     novelty_curve,
     pick_peaks,
@@ -67,6 +71,35 @@ def composed_oracle(frames: np.ndarray, params: SegmentationParams) -> np.ndarra
     """Novelty of the brute-force similarity matrix under the scripted kernel."""
     kernel = checkerboard_kernel(params.kernel_size, params.effective_sigma)
     return novelty_oracle(ssm_oracle(frames), kernel)
+
+
+def whole_track_novelty(frames: np.ndarray, params: SegmentationParams) -> np.ndarray:
+    """The curve computed over the whole track at once: the blocked curve must equal it bit for bit."""
+    count, size = frames.shape[0], params.kernel_size
+    norms = np.linalg.norm(frames, axis=1, keepdims=True)
+    silent = norms == 0.0
+    own_axis = np.eye(size)[np.arange(count) % size]
+    unit = np.hstack([frames / np.where(silent, 1.0, norms), silent * own_axis])
+    padded = unit[np.clip(np.arange(count + size - 1) - size // 2, 0, count - 1)]
+    weighted = sliding_window_view(padded, size, axis=0) @ _kernel_line(size, params.effective_sigma)
+    return np.square(weighted).sum(axis=1)
+
+
+def scalar_peaks(novelty: np.ndarray, params: SegmentationParams) -> list[int]:
+    """Left-to-right scan, one frame at a time."""
+    threshold = params.peak_threshold
+    if threshold is None:
+        threshold = float(novelty.mean() + novelty.std())
+    peaks: list[int] = []
+    for t in range(1, novelty.size - 1):
+        if not (novelty[t - 1] < novelty[t] > novelty[t + 1]):
+            continue
+        if novelty[t] < threshold:
+            continue
+        if peaks and t - peaks[-1] < params.min_segment_length:
+            continue
+        peaks.append(t)
+    return peaks
 
 
 class TestSelfSimilarity:
@@ -180,7 +213,67 @@ class TestNoveltyCurve:
             novelty_curve(np.ones((10, 3)), SegmentationParams(kernel_size=16))
 
 
+class TestBlockedNovelty:
+    """Block edges leave no trace: the curve equals the whole-track computation exactly."""
+
+    @pytest.mark.parametrize("dimension", [1, 2, 50, 300])
+    @pytest.mark.parametrize("length", ["K", "B-1", "B", "B+1", "2B+K-1", "3001"])
+    @pytest.mark.parametrize("silent", [False, True], ids=["sounding", "silent-edges"])
+    def test_equals_whole_track_formula(self, dimension, length, silent):
+        params = SegmentationParams()
+        size = params.kernel_size
+        block = _block_frames(dimension, size)
+        count = {"K": size, "B-1": block - 1, "B": block, "B+1": block + 1,
+                 "2B+K-1": 2 * block + size - 1, "3001": 3001}[length]
+        rng = np.random.default_rng([dimension, count])
+        frames = rng.uniform(0, 1, (count, dimension))
+        if silent:
+            # Silence at the track ends, on both sides of every block edge, at
+            # the first and last frame each block's windows reach, and a run
+            # that spans the first block edge.
+            starts = np.arange(0, count, block)
+            marks = np.concatenate([[0, count - 1], starts - 1, starts, starts - size // 2,
+                                    starts + block + size // 2 - 2])
+            frames[np.clip(marks, 0, count - 1)] = 0.0
+            frames[max(block - 3, 0) : block + 3] = 0.0
+        novelty, expected = novelty_curve(frames, params), whole_track_novelty(frames, params)
+        assert np.array_equal(novelty, expected)
+        assert novelty.tobytes() == expected.tobytes()  # signed zeros too
+
+    @pytest.mark.parametrize("size", [2, 4, 32])
+    def test_other_kernel_sizes(self, size):
+        params = SegmentationParams(kernel_size=size)
+        block = _block_frames(7, size)
+        frames = np.random.default_rng(size).uniform(0, 1, (3 * block + size // 2, 7))
+        frames[block - 1 : block + 1] = 0.0
+        assert np.array_equal(novelty_curve(frames, params), whole_track_novelty(frames, params))
+
+    def test_block_fits_budget_down_to_four_kernels(self):
+        for dimension in (1, 2, 50, 139):
+            block = _block_frames(dimension, 16)
+            assert (block + 15) * (dimension + 16) * 8 <= 96 * 1024 < (block + 16) * (dimension + 16) * 8
+        assert _block_frames(50, 16) == 171
+        assert _block_frames(300, 16) == _block_frames(100_000, 16) == 64
+        assert _block_frames(50, 64) == 256
+
+
 class TestPickPeaks:
+    def test_matches_scalar_scan_on_seeded_curves(self):
+        """Plateaus, equal neighbours, values exactly at the threshold, peaks closer than the minimum."""
+        rng = np.random.default_rng(2024)
+        for case in range(200):
+            count = int(rng.integers(1, 80))
+            levels = int(rng.integers(2, 7))
+            novelty = rng.integers(0, levels, count) / (levels - 1)
+            if case % 3 == 0:
+                novelty = novelty + rng.uniform(0, 1e-3, count) * (rng.random(count) < 0.5)
+            choice = case % 4
+            threshold = None if choice == 0 else 0.0 if choice == 1 else float(rng.choice(novelty))
+            params = SegmentationParams(
+                peak_threshold=threshold, min_segment_length=int(rng.integers(1, 7))
+            )
+            assert pick_peaks(novelty, params) == scalar_peaks(novelty, params), f"case {case}"
+
     def test_constant_curve_has_no_peaks(self):
         assert pick_peaks(np.full(30, 0.7), SegmentationParams()) == []
 
@@ -204,6 +297,16 @@ class TestPickPeaks:
     def test_empty_curve_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             pick_peaks(np.array([]), SegmentationParams())
+
+
+class TestParams:
+    @pytest.mark.parametrize("field, value", [
+        ("kernel_sigma", math.nan), ("kernel_sigma", math.inf), ("kernel_sigma", 0.0),
+        ("peak_threshold", math.nan), ("peak_threshold", math.inf), ("peak_threshold", -1.0),
+    ])
+    def test_non_finite_or_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SegmentationParams(**{field: value})
 
 
 class TestSegmentTrack:
@@ -268,6 +371,40 @@ class TestSegmentTrack:
         assert [seg.start for seg in track.segments] == [0]
         np.testing.assert_array_equal(track.segments[0].features, np.clip(frames.mean(axis=0), 0, 1))
         assert [r.levelno for r in caplog.records if "short-one" in r.getMessage()] == [logging.INFO]
+
+    def test_logs_one_debug_record_per_track(self, caplog):
+        long_track, planted = one_hot_block_track("long", [0, 1, 2], [20, 20, 20], dimension=3)
+        catalog = Catalog.from_tracks([long_track, Track(id="short", frames=np.full((5, 3), 0.5))])
+        with caplog.at_level(logging.INFO, logger="segue.segmentation"):
+            segment_catalog(catalog)
+        assert not [r for r in caplog.records if r.getMessage().startswith("segment_track ")]
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="segue.segmentation"):
+            segmented = segment_catalog(catalog)
+        records = [r for r in caplog.records if r.getMessage().startswith("segment_track ")]
+        assert [r.levelno for r in records] == [logging.DEBUG] * 2
+        fields = [dict(item.split("=") for item in r.getMessage().split()[1:]) for r in records]
+        assert [(f["id"], int(f["frames"]), int(f["sections"]), f["fallback"]) for f in fields] == [
+            ("long", 60, len(planted) + 1, "False"),
+            ("short", 5, 1, "True"),
+        ]
+        assert [len(track.segments) for track in segmented] == [3, 1]
+        assert all(float(f["seconds"]) >= 0.0 for f in fields)
+
+    def test_long_track_scratch_is_bounded(self):
+        """A 36,000-frame track needs no whole-track temporaries, only its (T,) curve."""
+        rng = np.random.default_rng(36)
+        levels = rng.uniform(0, 1, (120, 50))
+        frames = np.clip(np.repeat(levels, 300, axis=0) + 0.02 * rng.standard_normal((36_000, 50)), 0, 1)
+        track = Track(id="long", frames=frames)
+        tracemalloc.start()
+        try:
+            segmented = segment_track(track)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert len(segmented.segments) == 120
 
     def test_short_tracks_do_not_abort_the_catalog(self):
         long_track, planted = one_hot_block_track("long", [0, 1], [20, 20], dimension=3)

@@ -10,7 +10,6 @@ pluggable similarity measure (cosine, Euclidean, or top-weighted DCG).
 from .catalog import (
     Catalog,
     CatalogError,
-    Segment,
     Track,
     TrainingPair,
     build_training_sequences,
@@ -94,7 +93,6 @@ __all__ = [
     "Playlist",
     "PlaylistStep",
     "RankedCandidates",
-    "Segment",
     "SegmentationParams",
     "SequenceModel",
     "StandardizationStats",

@@ -7,7 +7,9 @@ A catalog file is UTF-8 JSON lines, one track per line:
 ``frames`` holds one feature vector per analysis frame; all tracks in a file
 share one dimension D and every element must be a finite value in [0, 1].
 ``segments`` is optional and appears once a catalog has been segmented; each
-entry is ``{"start": <first frame index>, "features": [...]}``.
+entry is ``{"start": <first frame index>, "features": [...]}``. In memory a
+segmented track holds them as two arrays, ``starts`` (S,) and ``sections``
+(S, D), validated whole; ``Track.segments`` is a read-only row view of them.
 
 ``save_catalog`` writes each record as exactly the text ``json.dumps`` gives
 for it, streamed to the file. Number arrays whose values are short decimals
@@ -22,7 +24,7 @@ new ``Catalog`` rather than mutating one in place.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
@@ -33,13 +35,8 @@ class CatalogError(ValueError):
     """A catalog file or catalog contents violate the format contract."""
 
 
-@dataclass(frozen=True)
-class Segment:
-    """One structural section of a track.
-
-    ``start`` is the index of the section's first frame; ``features`` is the
-    aggregated feature vector for the section.
-    """
+class Segment(NamedTuple):
+    """One row of ``Track.segments``: a section's first frame and its feature vector."""
 
     start: int
     features: np.ndarray
@@ -47,32 +44,28 @@ class Segment:
 
 @dataclass
 class Track:
-    """A track: per-frame feature matrix plus, once segmented, section features."""
+    """A track: per-frame feature matrix plus, once segmented, one array row per section."""
 
     id: str
     frames: np.ndarray  # (T, D) float64, time-ordered
     frame_hop: float = 1.0  # seconds per frame, metadata only
-    segments: list[Segment] = field(default_factory=list)
+    starts: np.ndarray | None = None  # (S,) int64 first frame of each section, increasing
+    sections: np.ndarray | None = None  # (S, D) float64 section feature vectors
 
     @property
     def is_segmented(self) -> bool:
-        return len(self.segments) > 0
+        return self.sections is not None
 
     @property
     def num_frames(self) -> int:
         return self.frames.shape[0]
 
-    def segment_matrix(self) -> np.ndarray:
-        """Stack segment feature vectors into a (k, D) matrix."""
+    @property
+    def segments(self) -> list[Segment]:
+        """The sections as ``(start, features)`` rows; empty until segmented."""
         if not self.is_segmented:
-            raise CatalogError(f"track '{self.id}' is not segmented")
-        return np.stack([seg.features for seg in self.segments])
-
-    def start_segment(self) -> np.ndarray:
-        """Feature vector of the track's first section."""
-        if not self.is_segmented:
-            raise CatalogError(f"track '{self.id}' is not segmented")
-        return self.segments[0].features
+            return []
+        return [Segment(*row) for row in zip(self.starts.tolist(), self.sections)]
 
 
 @dataclass
@@ -128,21 +121,28 @@ class Catalog:
 
 
 def _validate_segments(track: Track, dimension: int) -> None:
-    previous = -1
-    for seg in track.segments:
-        if not _is_int(seg.start) or seg.start < 0 or seg.start >= track.num_frames:
+    """Check a track's section arrays whole; of its bad starts, the first is named."""
+    starts, sections = track.starts, track.sections
+    if starts is None and sections is None:
+        return
+    if not (isinstance(starts, np.ndarray) and starts.ndim == 1 and starts.size
+            and starts.dtype.kind in "iu"):
+        raise CatalogError(f"track '{track.id}': segment starts must be a non-empty integer vector")
+    outside = (starts < 0) | (starts >= track.num_frames)
+    bad = outside | np.concatenate(([False], starts[1:] <= starts[:-1]))
+    if bad.any():
+        first = int(bad.argmax())
+        if outside[first]:
             raise CatalogError(
-                f"track '{track.id}': segment start {seg.start} outside frame range"
+                f"track '{track.id}': segment start {starts[first]} outside frame range"
             )
-        if seg.start <= previous:
-            raise CatalogError(f"track '{track.id}': segment starts are not strictly increasing")
-        previous = seg.start
-        if seg.features.shape != (dimension,):
-            raise CatalogError(f"track '{track.id}': segment feature dimension mismatch")
-        if not np.isfinite(seg.features).all():
-            raise CatalogError(f"track '{track.id}': non-finite segment element")
-        if (seg.features < 0.0).any() or (seg.features > 1.0).any():
-            raise CatalogError(f"track '{track.id}': segment element outside [0, 1]")
+        raise CatalogError(f"track '{track.id}': segment starts are not strictly increasing")
+    if not isinstance(sections, np.ndarray) or sections.shape != (starts.size, dimension):
+        raise CatalogError(f"track '{track.id}': segment feature dimension mismatch")
+    if not np.isfinite(sections).all():
+        raise CatalogError(f"track '{track.id}': non-finite segment element")
+    if (sections < 0.0).any() or (sections > 1.0).any():
+        raise CatalogError(f"track '{track.id}': segment element outside [0, 1]")
 
 
 def _is_int(value: object) -> bool:
@@ -182,41 +182,45 @@ def _parse_record(record: object, lineno: int) -> Track:
     track_id = record.get("id")
     if not isinstance(track_id, str) or not track_id:
         raise CatalogError(f"line {lineno}: missing or invalid 'id'")
+    where = f"line {lineno}: track '{track_id}'"
     raw_frames = record.get("frames")
     if not isinstance(raw_frames, list) or not raw_frames:
-        raise CatalogError(f"line {lineno}: track '{track_id}': missing or empty 'frames'")
+        raise CatalogError(f"{where}: missing or empty 'frames'")
     try:
         frames = np.asarray(raw_frames, dtype=np.float64)
     except (TypeError, ValueError):
-        raise CatalogError(
-            f"line {lineno}: track '{track_id}': frame dimension mismatch or non-numeric value"
-        ) from None
+        raise CatalogError(f"{where}: frame dimension mismatch or non-numeric value") from None
     if frames.ndim != 2:
-        raise CatalogError(f"line {lineno}: track '{track_id}': frame dimension mismatch")
+        raise CatalogError(f"{where}: frame dimension mismatch")
     frame_hop = record.get("frame_hop", 1.0)
     if not (_is_int(frame_hop) or isinstance(frame_hop, float)) or not np.isfinite(frame_hop):
-        raise CatalogError(f"line {lineno}: track '{track_id}': invalid 'frame_hop'")
-    segments: list[Segment] = []
+        raise CatalogError(f"{where}: invalid 'frame_hop'")
     raw_segments = record.get("segments", [])
     if not isinstance(raw_segments, list):
-        raise CatalogError(f"line {lineno}: track '{track_id}': invalid 'segments'")
-    for entry in raw_segments:
-        if not isinstance(entry, dict) or "start" not in entry or "features" not in entry:
-            raise CatalogError(f"line {lineno}: track '{track_id}': malformed segment entry")
+        raise CatalogError(f"{where}: invalid 'segments'")
+    starts = sections = None
+    if raw_segments:
+        for entry in raw_segments:
+            if not isinstance(entry, dict) or "start" not in entry or "features" not in entry:
+                raise CatalogError(f"{where}: malformed segment entry")
+            if not _is_int(entry["start"]):
+                raise CatalogError(f"{where}: segment start must be an integer")
         try:
-            features = np.asarray(entry["features"], dtype=np.float64)
+            starts = np.asarray([entry["start"] for entry in raw_segments], dtype=np.int64)
+        except OverflowError:
+            raise CatalogError(f"{where}: segment start outside frame range") from None
+        rows = [entry["features"] for entry in raw_segments]
+        try:
+            sections = np.asarray(rows, dtype=np.float64)
         except (TypeError, ValueError):
-            raise CatalogError(
-                f"line {lineno}: track '{track_id}': non-numeric segment features"
-            ) from None
-        start = entry["start"]
-        if not _is_int(start):
-            raise CatalogError(f"line {lineno}: track '{track_id}': segment start must be an integer")
-        segments.append(Segment(start=start, features=features))
-    try:
-        return Track(id=track_id, frames=frames, frame_hop=float(frame_hop), segments=segments)
-    except CatalogError as exc:
-        raise CatalogError(f"line {lineno}: {exc}") from None
+            for row in rows:
+                try:
+                    np.asarray(row, dtype=np.float64)
+                except (TypeError, ValueError):
+                    raise CatalogError(f"{where}: non-numeric segment features") from None
+            # Numeric rows of different lengths make no matrix; validation refuses the track.
+    return Track(id=track_id, frames=frames, frame_hop=float(frame_hop), starts=starts,
+                 sections=sections)
 
 
 def save_catalog(catalog: Catalog, path: str | Path) -> None:
@@ -237,11 +241,9 @@ def save_catalog(catalog: Catalog, path: str | Path) -> None:
             _write_numbers(handle, track.frames)
             if track.is_segmented:
                 handle.write(', "segments": [')
-                for index, seg in enumerate(track.segments):
-                    if index:
-                        handle.write(", ")
-                    handle.write(f'{{"start": {json.dumps(seg.start)}, "features": ')
-                    _write_numbers(handle, seg.features)
+                for index, start in enumerate(track.starts.tolist()):
+                    handle.write(f'{", " if index else ""}{{"start": {start}, "features": ')
+                    _write_numbers(handle, track.sections[index])
                     handle.write("}")
                 handle.write("]")
             handle.write("}\n")
@@ -359,14 +361,12 @@ def build_training_sequences(catalog: Catalog, context_length: int) -> list[Trai
         raise CatalogError("catalog is not segmented")
     pairs: list[TrainingPair] = []
     for track in catalog:
-        vectors = track.segment_matrix()
-        count = vectors.shape[0]
-        for target_index in range(1, count):
-            lo = max(0, target_index - context_length)
-            filled = target_index - lo
+        vectors = track.sections
+        for target in range(1, len(vectors)):
+            filled = min(target, context_length)
             window = np.zeros((context_length, catalog.dimension))
             mask = np.zeros(context_length, dtype=bool)
-            window[context_length - filled :] = vectors[lo:target_index]
+            window[context_length - filled :] = vectors[target - filled : target]
             mask[context_length - filled :] = True
-            pairs.append(TrainingPair(window=window, mask=mask, target=vectors[target_index]))
+            pairs.append(TrainingPair(window=window, mask=mask, target=vectors[target]))
     return pairs

@@ -239,6 +239,9 @@ def _run_compare(args: argparse.Namespace) -> int:
     if not names:
         raise ValueError("no metrics given")
     metrics = [Metric(kind=name, dcg_depth=args.dcg_depth) for name in names]
+    repeated = next((name for index, name in enumerate(names) if name in names[:index]), None)
+    if repeated is not None:
+        raise ValueError(f"metric '{repeated}' is given more than once")
     catalog, model = load_catalog(args.input), load_model(args.model)
     playlists: dict[str, dict] = {}
     coherence: dict[str, dict] = {}

@@ -25,7 +25,7 @@ STRONG_LEVEL = 0.8
 WEAK_LEVEL = 0.1
 FLUCTUATION_RANGE = (0.2, 0.8)
 
-STD_FLOOR = 1e-8  # a constant dimension is divided by this, not by zero
+STD_FLOOR = 1e-8  # a dimension whose std is at most this counts as constant
 
 
 @dataclass(frozen=True)
@@ -37,8 +37,8 @@ class StandardizationStats:
 
     @property
     def scale(self) -> np.ndarray:
-        """The divisor of each dimension: its standard deviation, floored."""
-        return np.maximum(self.std, STD_FLOOR)
+        """The divisor of each dimension: its std, or inf for a constant one, whose z-score is 0."""
+        return np.where(self.std > STD_FLOOR, self.std, np.inf)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Map [0, 1] vectors to z-scores."""
@@ -49,7 +49,7 @@ def fit_standardizer(catalog: Catalog) -> StandardizationStats:
     """Compute per-dimension statistics over all segment vectors in the catalog."""
     if not catalog.is_segmented:
         raise ValueError("catalog must be segmented before standardization")
-    pooled = np.vstack([track.segment_matrix() for track in catalog])
+    pooled = np.vstack([track.sections for track in catalog])
     if pooled.shape[0] < 2:
         raise ValueError("standardization needs at least 2 segment vectors")
     return StandardizationStats(mean=pooled.mean(axis=0), std=pooled.std(axis=0))

@@ -22,7 +22,7 @@ import copy
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
@@ -71,15 +71,12 @@ class SequenceModel:
 
     ``context_length`` is the window length the model was trained with; it is
     unset (None) until training and is persisted in the model file header.
-    ``train_meta`` records the rest of the training configuration for
-    reproducibility echoes; it is not persisted.
     """
 
     layers: list[LstmLayerParams]
     w_out: np.ndarray  # (D, H)
     b_out: np.ndarray  # (D,)
     context_length: int | None = None
-    train_meta: dict = field(default_factory=dict)
 
     @classmethod
     def zeros(cls, num_layers: int, hidden: int, dim: int) -> "SequenceModel":

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import Catalog
+from .catalog import Catalog, CatalogError
 from .model import SequenceModel
 from .rnn import advance
 from .similarity import Metric, NeighbourGap, StartSections, cosine_distance
@@ -151,7 +151,7 @@ def generate(
     debug = logger.isEnabledFor(logging.DEBUG)
     starts = StartSections.of(catalog)
     used = starts.ids == seed_id
-    pending = catalog.tracks[seed_id].segment_matrix()  # sections the state has not seen
+    pending = catalog.tracks[seed_id].sections  # sections the state has not seen
     history = list(pending)
     state = None
     for step in range(length - 1):
@@ -194,7 +194,7 @@ def generate(
         )
         used[best] = True
         chosen.append(gap.best_id)
-        pending = catalog.tracks[gap.best_id].segment_matrix()
+        pending = catalog.tracks[gap.best_id].sections
         history.extend(pending)
     return Playlist(track_ids=chosen, steps=steps, metric=metric, seed_id=seed_id, truncated=truncated)
 
@@ -223,19 +223,24 @@ def export_transition_matrix(playlist: Playlist, catalog: Catalog) -> Transition
             "expected one step fewer than tracks"
         )
     labels: list[str] = []
-    rows: list[np.ndarray] = []
-    last = len(playlist.track_ids) - 1
-    for index, track_id in enumerate(playlist.track_ids):
+    blocks: list[np.ndarray] = []
+    for index, sections in enumerate(_sections_of(playlist, catalog)):
+        labels.extend(f"seg:{playlist.track_ids[index]}:{k}" for k in range(len(sections)))
+        blocks.append(sections)
+        if index < len(playlist.steps):
+            labels.append(f"pred:{index}")
+            blocks.append(playlist.steps[index].prediction[None])
+    return TransitionMatrix(labels=labels, rows=np.concatenate(blocks))
+
+
+def _sections_of(playlist: Playlist, catalog: Catalog) -> list[np.ndarray]:
+    """Each playlist track's (S, D) sections, in playlist order."""
+    for track_id in playlist.track_ids:
         if track_id not in catalog:
             raise ValueError(f"track '{track_id}' not in catalog")
-        track = catalog.tracks[track_id]
-        for k, seg in enumerate(track.segments):
-            labels.append(f"seg:{track_id}:{k}")
-            rows.append(seg.features)
-        if index < last:
-            labels.append(f"pred:{index}")
-            rows.append(playlist.steps[index].prediction)
-    return TransitionMatrix(labels=labels, rows=np.stack(rows))
+    if not catalog.is_segmented:
+        raise CatalogError("catalog is not segmented")
+    return [catalog.tracks[track_id].sections for track_id in playlist.track_ids]
 
 
 def write_transition_csv(matrix: TransitionMatrix, path) -> None:
@@ -272,17 +277,13 @@ def coherence_report(playlist: Playlist, catalog: Catalog) -> dict:
     """
     if len(playlist) < 2:
         raise ValueError("coherence report needs a playlist of at least 2 tracks")
-    means = []
-    for track_id in playlist.track_ids:
-        if track_id not in catalog:
-            raise ValueError(f"track '{track_id}' not in catalog")
-        means.append(catalog.tracks[track_id].segment_matrix().mean(axis=0))
+    sections = _sections_of(playlist, catalog)
+    means = [rows.mean(axis=0) for rows in sections]
     adjacent = [
         1.0 - cosine_distance(means[i], means[i + 1]) for i in range(len(means) - 1)
     ]
     drift = [1.0 - cosine_distance(means[0], mean) for mean in means]
-    pooled = np.vstack([catalog.tracks[tid].segment_matrix() for tid in playlist.track_ids])
-    variance = pooled.var(axis=0)
+    variance = np.vstack(sections).var(axis=0)
     return {
         "metric": playlist.metric.kind,
         "track_count": len(playlist),

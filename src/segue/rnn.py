@@ -368,15 +368,6 @@ def train(
             time.perf_counter() - started,
         )
     trained.context_length = config.context_length
-    trained.train_meta = {
-        "loss": "mean_squared_error",
-        "optimizer": config.optimizer,
-        "learning_rate": config.learning_rate,
-        "epochs": config.epochs,
-        "batch_size": config.batch_size,
-        "seed": config.seed,
-        "clip_norm": config.clip_norm,
-    }
     return trained, LossReport(epoch_losses=epoch_losses)
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .catalog import Catalog, Segment, Track
+from .catalog import Catalog, Track
 
 logger = logging.getLogger(__name__)
 
@@ -176,8 +176,8 @@ def pick_peaks(novelty: np.ndarray, params: SegmentationParams) -> list[int]:
 def segment_track(track: Track, params: SegmentationParams | None = None) -> Track:
     """Detect section boundaries and aggregate each section into one feature vector.
 
-    Returns a new track whose ``segments`` hold one entry per section: the
-    section's first frame index plus the mean of its frames clamped to [0, 1].
+    Returns a new track with one row per section: its first frame index in
+    ``starts`` and the mean of its frames, clamped to [0, 1], in ``sections``.
     A track shorter than the kernel has no novelty curve and becomes a single
     section at frame 0.
     """
@@ -196,16 +196,14 @@ def segment_track(track: Track, params: SegmentationParams | None = None) -> Tra
     else:
         novelty = novelty_curve(track.frames, params)
         boundaries = [0] + pick_peaks(novelty, params) + [track.num_frames]
-    segments = []
-    for start, end in zip(boundaries[:-1], boundaries[1:]):
-        features = np.clip(track.frames[start:end].mean(axis=0), 0.0, 1.0)
-        segments.append(Segment(start=start, features=features))
+    edges = zip(boundaries, boundaries[1:])
+    sections = np.clip(np.stack([track.frames[a:b].mean(axis=0) for a, b in edges]), 0.0, 1.0)
     if debug:
         logger.debug(
             "segment_track id=%s frames=%d sections=%d fallback=%s seconds=%.6f",
-            track.id, track.num_frames, len(segments), fallback, time.perf_counter() - began,
+            track.id, track.num_frames, len(sections), fallback, time.perf_counter() - began,
         )
-    return replace(track, segments=segments)
+    return replace(track, starts=np.array(boundaries[:-1], dtype=np.int64), sections=sections)
 
 
 def segment_catalog(catalog: Catalog, params: SegmentationParams | None = None) -> Catalog:

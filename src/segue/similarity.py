@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import Catalog
+from .catalog import Catalog, CatalogError
 
 logger = logging.getLogger(__name__)
 
@@ -190,7 +190,9 @@ class StartSections:
 
     @classmethod
     def of(cls, catalog: Catalog) -> "StartSections":
-        rows = np.stack([track.start_segment() for track in catalog])
+        if not catalog.is_segmented:
+            raise CatalogError("catalog is not segmented")
+        rows = np.stack([track.sections[0] for track in catalog])
         return cls(ids=np.array(catalog.track_ids), rows=rows)
 
     def mask(self, exclude: frozenset[str] | set[str]) -> np.ndarray:

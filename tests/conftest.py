@@ -4,18 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from segue.catalog import Catalog, Segment, Track
+from segue.catalog import Catalog, Track
 
 
 def segmented_track(track_id: str, vectors: np.ndarray, frames_per_segment: int = 6) -> Track:
     """A track whose segments are set directly; frames repeat each segment vector."""
     vectors = np.asarray(vectors, dtype=np.float64)
     frames = np.repeat(vectors, frames_per_segment, axis=0)
-    segments = [
-        Segment(start=i * frames_per_segment, features=vectors[i].copy())
-        for i in range(vectors.shape[0])
-    ]
-    return Track(id=track_id, frames=frames, segments=segments)
+    starts = np.arange(vectors.shape[0]) * frames_per_segment
+    return Track(id=track_id, frames=frames, starts=starts, sections=vectors.copy())
 
 
 def segmented_catalog(vectors_by_id: dict[str, np.ndarray]) -> Catalog:

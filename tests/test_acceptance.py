@@ -247,7 +247,7 @@ def test_criterion_5_metric_suite():
     )
     pred = rng.uniform(0, 1, 6)
     for metric in (Metric("cosine"), Metric("l2"), Metric("dcg")):
-        rows = [(t.id, score(pred, t.start_segment(), metric)) for t in catalog]
+        rows = [(t.id, score(pred, t.sections[0], metric)) for t in catalog]
         reverse = metric.higher_is_better
         expected = sorted(rows, key=lambda item: (-item[1] if reverse else item[1], item[0]))
         ok &= rank_candidates(pred, catalog, metric).entries == expected

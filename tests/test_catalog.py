@@ -11,7 +11,6 @@ from segue import catalog as catalog_module
 from segue.catalog import (
     Catalog,
     CatalogError,
-    Segment,
     Track,
     build_training_sequences,
     load_catalog,
@@ -138,6 +137,53 @@ class TestLoadCatalog:
         with pytest.raises(CatalogError, match=r"line 1: track 'a': segment start"):
             load_catalog(path)
 
+    _FRAMES = [[0.1, 0.2, 0.3], [0.2, 0.3, 0.4], [0.3, 0.4, 0.5], [0.4, 0.5, 0.6]]
+
+    @pytest.mark.parametrize("segments, message", [
+        ([{"start": 0}], "line {line}: track '{id}': malformed segment entry"),
+        ([{"start": 0, "features": [0.1, 0.2, 0.3]}, [2, [0.3, 0.4, 0.5]]],
+         "line {line}: track '{id}': malformed segment entry"),
+        ({"start": 0, "features": [0.1, 0.2, 0.3]}, "line {line}: track '{id}': invalid 'segments'"),
+        ([{"start": 0, "features": ["x", 0.2, 0.3]}],
+         "line {line}: track '{id}': non-numeric segment features"),
+        ([{"start": 0, "features": [0.1, 0.2, 0.3]}, {"start": 2, "features": [0.1, 0.2]}],
+         "{path}: track '{id}': segment feature dimension mismatch"),
+        ([{"start": 0, "features": [0.1, 0.2, 0.3]}, {"start": 2, "features": [0.1, 0.2, 0.3, 0.4]}],
+         "{path}: track '{id}': segment feature dimension mismatch"),
+        ([{"start": 0, "features": [0.1, 0.2, 0.3]}, {"start": 2, "features": [0.1, float("nan"), 0.3]}],
+         "{path}: track '{id}': non-finite segment element"),
+        ([{"start": 0, "features": [0.1, 0.2, 0.3]}, {"start": 2, "features": [0.1, 1.5, 0.3]}],
+         "{path}: track '{id}': segment element outside [0, 1]"),
+        ([{"start": -1, "features": [0.1, 0.2, 0.3]}],
+         "{path}: track '{id}': segment start -1 outside frame range"),
+        ([{"start": 0, "features": [0.1, 0.2, 0.3]}, {"start": 4, "features": [0.1, 0.2, 0.3]}],
+         "{path}: track '{id}': segment start 4 outside frame range"),
+        ([{"start": 0, "features": [0.1, 0.2, 0.3]}, {"start": 9, "features": [0.1, 0.2, 0.3]}],
+         "{path}: track '{id}': segment start 9 outside frame range"),
+        ([{"start": 0, "features": [0.1, 0.2, 0.3]}, {"start": 2, "features": [0.1, 0.2, 0.3]},
+          {"start": 2, "features": [0.1, 0.2, 0.3]}],
+         "{path}: track '{id}': segment starts are not strictly increasing"),
+    ])
+    @pytest.mark.parametrize("bad_line", [1, 3])
+    def test_bad_segments_are_named(self, tmp_path, segments, message, bad_line):
+        path = tmp_path / "cat.jsonl"
+        good = {"start": 0, "features": [0.2, 0.3, 0.4]}, {"start": 3, "features": [0.4, 0.5, 0.6]}
+        records = [{"id": f"t{i}", "frame_hop": 1.0, "frames": self._FRAMES, "segments": list(good)}
+                   for i in range(1, 4)]
+        records[bad_line - 1]["segments"] = segments
+        _write_jsonl(path, records)
+        expected = message.format(line=bad_line, id=f"t{bad_line}", path=path)
+        with pytest.raises(CatalogError) as caught:
+            load_catalog(path)
+        assert str(caught.value) == expected
+
+    def test_start_beyond_int64_is_outside_the_frame_range(self, tmp_path):
+        path = tmp_path / "cat.jsonl"
+        _write_jsonl(path, [{"id": "a", "frame_hop": 1.0, "frames": self._FRAMES,
+                             "segments": [{"start": 2**64, "features": [0.1, 0.2, 0.3]}]}])
+        with pytest.raises(CatalogError, match=r"^line 1: track 'a': segment start outside frame range$"):
+            load_catalog(path)
+
     def test_boolean_frame_hop_rejected(self, tmp_path):
         path = tmp_path / "cat.jsonl"
         _write_jsonl(path, [{"id": "a", "frame_hop": True, "frames": [[0.1], [0.2]]}])
@@ -191,8 +237,7 @@ class TestSaveCatalog:
     ])
     def test_catalog_that_would_not_load_is_not_written(self, tmp_path, frames, starts, message):
         frames = np.array(frames)
-        track = Track(id="bad", frames=frames,
-                      segments=[Segment(start=s, features=frames[s]) for s in starts])
+        track = Track(id="bad", frames=frames, starts=np.array(starts), sections=frames[starts])
         path = tmp_path / "nope.jsonl"
         with pytest.raises(CatalogError, match=f"track 'bad'.*{message}"):
             save_catalog(Catalog(dimension=2, tracks={"bad": track}), path)
@@ -331,10 +376,28 @@ class TestTrackValidation:
         track = Track(
             id="a",
             frames=np.array([[0.1], [0.2]]),
-            segments=[Segment(start=5, features=np.array([0.1]))],
+            starts=np.array([5]),
+            sections=np.array([[0.1]]),
         )
         with pytest.raises(CatalogError, match="outside frame range"):
             Catalog.from_tracks([track])
+
+    @pytest.mark.parametrize("starts", [np.array([0.0, 2.0]), np.array([False, True])])
+    def test_non_integer_starts_rejected(self, starts):
+        track = Track(id="odd", frames=np.full((4, 2), 0.5), starts=starts,
+                      sections=np.full((2, 2), 0.5))
+        message = "^track 'odd': segment starts must be a non-empty integer vector$"
+        with pytest.raises(CatalogError, match=message):
+            Catalog.from_tracks([segmented_track("fine", np.full((2, 2), 0.5)), track])
+
+    def test_segments_view_pairs_starts_with_sections(self):
+        track = segmented_track("a", np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]]), 4)
+        rows = track.segments
+        assert len(rows) == 3
+        for row, start, section in zip(rows, track.starts, track.sections, strict=True):
+            assert type(row.start) is int and row.start == start
+            np.testing.assert_array_equal(row.features, section)
+        assert Track(id="b", frames=np.zeros((2, 2))).segments == []
 
     def test_track_value_above_one(self):
         with pytest.raises(CatalogError, match=r"\[0, 1\]"):

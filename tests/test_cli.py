@@ -157,6 +157,14 @@ class TestExitCodes:
         assert code == 2
         assert "unknown metric 'bogus'" in capsys.readouterr().err
 
+    def test_compare_rejects_a_repeated_metric_before_reading_files(self, capsys, tmp_path):
+        out = tmp_path / "x.json"
+        code = run(["compare", "-i", str(tmp_path / "absent.jsonl"), "-m", str(tmp_path / "absent.sgm"),
+                    "--seed-track", "t00", "--metrics", "cosine,l2,cosine", "-o", str(out)])
+        assert code == 2
+        assert "metric 'cosine' is given more than once" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_generate_checks_metric_before_reading_files(self, capsys, tmp_path):
         code = run(["generate", "-i", str(tmp_path / "absent.jsonl"), "-m", str(tmp_path / "absent.sgm"),
                     "--seed-track", "t00", "--metric", "dcg", "--dcg-depth", "0",

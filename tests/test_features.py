@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from conftest import segmented_catalog
-from segue.catalog import TrainingPair, build_training_sequences
+from segue.catalog import Catalog, TrainingPair, build_training_sequences
 from segue.features import (
     STD_FLOOR,
     STRONG_LEVEL,
@@ -16,7 +18,8 @@ from segue.features import (
     generate_synthetic_catalog,
     standardize_windows,
 )
-from segue.rnn import forward, init_model
+from segue.rnn import forward, init_model, predict_next
+from segue.segmentation import segment_catalog
 
 
 class TestStandardizer:
@@ -26,9 +29,9 @@ class TestStandardizer:
             "b": np.array([[0.4, 0.6]]),
         })
         stats = fit_standardizer(catalog)
-        # the epsilon floor divides rounding noise in (v - mean) by 1e-8, so
-        # "all zeros" holds to amplified machine epsilon, not exactly
-        np.testing.assert_allclose(stats.apply(np.array([0.4, 0.6])), [0.0, 0.0], atol=1e-6)
+        # a constant dimension's scale is infinite, so rounding noise in
+        # (v - mean) is not amplified and the z-scores are exactly zero
+        np.testing.assert_array_equal(stats.apply(np.array([0.4, 0.6])), [0.0, 0.0])
         assert (stats.std < STD_FLOOR).all()
 
     def test_two_opposite_vectors_standardize_to_plus_minus_one(self):
@@ -123,21 +126,36 @@ class TestFoldStandardizer:
 
     @pytest.mark.parametrize("layers", [1, 2, 3])
     def test_floored_dimension_at_a_nonzero_level(self, layers):
-        """Bound: one rounding unit of the two terms that cancel.
+        """The model sees z = 0 in the floored column; its folded column and
+        bias share are both exactly zero, whatever the level, so the gap is
+        the rounding of the other columns' fold alone."""
+        gap, _, _ = _fold_gap(layers, level=0.8)
+        assert gap <= 1e-12
 
-        The model sees z = 0 in the floored column. The folded model adds
-        ``(W_x[:, k] / STD_FLOOR) * level`` in its input product and subtracts
-        ``W_x[:, k] * (level / STD_FLOOR)`` in its bias: each is about
-        ``|W_x[:, k]| * level * 1e8``, so the float64 difference leaves up to
-        eps times that (about 1e-8) in the gate pre-activations, whatever
-        the order of the fold's operations. Gates and output head pass on
-        less than that (about 1e-10 here), so the bound is that one unit.
-        """
-        level = 0.8
-        gap, model, floored = _fold_gap(layers, level)
-        column = model.layers[0].weight[:, floored]
-        bound = np.finfo(np.float64).eps * np.abs(column).max() * level / STD_FLOOR
-        assert gap <= bound
+    def test_constant_dimension_is_ignored_after_folding(self):
+        # Dimension 0 is 0.3 in every section: its std is rounding noise, not 0.
+        spec = SynthSpec(track_count=8, dimension=8, strong_dims=2, weak_dims=2, seed=3)
+        tracks = []
+        for track in segment_catalog(generate_synthetic_catalog(spec)):
+            sections = track.sections.copy()
+            sections[:, 0] = 0.3
+            tracks.append(replace(track, sections=sections))
+        catalog = Catalog.from_tracks(tracks)
+        stats = fit_standardizer(catalog)
+        assert 0.0 < stats.std[0] <= STD_FLOOR
+        model = init_model(2, 8, 8, seed=3)
+        model.context_length = 4
+        folded = fold_standardizer(model, stats)
+        w_x, folded_w_x = model.layers[0].weight[:, :8], folded.layers[0].weight[:, :8]
+        assert (folded_w_x[:, 0] == 0.0).all()
+        # the other columns are divided by their std exactly as before
+        assert np.array_equal(folded_w_x[:, 1:], w_x[:, 1:] / stats.std[1:])
+        history = catalog.tracks["t00"].sections
+        base = predict_next(folded, history)
+        for dim, moved in ((0, False), (1, True)):
+            nudged = history.copy()
+            nudged[:, dim] += 0.01
+            assert (not np.array_equal(predict_next(folded, nudged), base)) == moved
 
 
 class TestSyntheticCatalog:

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import segmented_catalog
 from segue import rnn as rnn_mod
+from segue.catalog import Catalog, CatalogError, Track
 from segue.playlist import (
     Playlist,
     coherence_report,
@@ -39,7 +40,7 @@ def sequential_reference(catalog, model, seed_id, length, metric):
     Returns the chosen ids and, per step, (prediction, gap, history length).
     """
     chosen = [seed_id]
-    history = [catalog.tracks[seed_id].segment_matrix()]
+    history = [catalog.tracks[seed_id].sections]
     records = []
     while len(chosen) < min(length, len(catalog)):
         segments = np.vstack(history)
@@ -47,7 +48,7 @@ def sequential_reference(catalog, model, seed_id, length, metric):
         gap = nearest_neighbour_gap(prediction, catalog, metric, exclude=frozenset(chosen))
         records.append((prediction, gap, len(segments)))
         chosen.append(gap.best_id)
-        history.append(catalog.tracks[gap.best_id].segment_matrix())
+        history.append(catalog.tracks[gap.best_id].sections)
     return chosen, records
 
 
@@ -261,6 +262,16 @@ class TestExportTransitionMatrix:
         result = Playlist(track_ids=["ghost"], steps=[], metric=Metric("l2"), seed_id="ghost")
         with pytest.raises(ValueError, match="ghost"):
             export_transition_matrix(result, catalog)
+
+    @pytest.mark.parametrize("report", [export_transition_matrix, coherence_report])
+    def test_unsegmented_catalog_rejected(self, report):
+        catalog = Catalog.from_tracks(
+            Track(id=track.id, frames=track.frames) for track in make_catalog()
+        )
+        steps = generate(make_catalog(), make_model(), "t00", 2, Metric("l2")).steps
+        result = Playlist(track_ids=["t00", "t01"], steps=steps, metric=Metric("l2"), seed_id="t00")
+        with pytest.raises(CatalogError, match="not segmented"):
+            report(result, catalog)
 
 
 class TestCoherenceReport:

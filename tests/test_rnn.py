@@ -403,13 +403,12 @@ class TestTrain:
         train(model, pairs, TrainConfig(context_length=3, epochs=3, seed=5))
         assert model.equals(snapshot)
 
-    def test_trained_model_records_context_and_meta(self):
+    def test_trained_model_records_context(self):
         pairs = toy_pairs(count=8, context=3, dimension=4, seed=6)
         trained, _ = train(
             init_model(2, 4, 4, seed=6), pairs, TrainConfig(context_length=3, epochs=2, seed=6)
         )
         assert trained.context_length == 3
-        assert trained.train_meta["loss"] == "mean_squared_error"
 
     def test_window_length_mismatch_rejected(self):
         pairs = toy_pairs(count=4, context=3, dimension=4, seed=7)

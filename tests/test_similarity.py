@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import segmented_catalog
+from segue.catalog import Catalog, CatalogError, Track
 from segue.similarity import (
     Metric,
     NeighbourGap,
@@ -141,7 +142,7 @@ def brute_force_ranking(pred, catalog, metric):
     """Score every candidate independently, then sort by orientation and id."""
     rows = []
     for track in catalog:
-        value = score(pred, track.start_segment(), metric)
+        value = score(pred, track.sections[0], metric)
         rows.append((track.id, value))
     reverse = metric.higher_is_better
     return sorted(rows, key=lambda item: (-item[1] if reverse else item[1], item[0]))
@@ -162,7 +163,7 @@ class TestRankCandidates:
             assert ranked.best[0] == "only"
 
     def test_exact_match_ranks_first_under_distances(self, catalog):
-        pred = catalog.tracks["t07"].start_segment().copy()
+        pred = catalog.tracks["t07"].sections[0].copy()
         for kind in ("cosine", "l2"):
             assert rank_candidates(pred, catalog, Metric(kind)).best[0] == "t07"
 
@@ -188,6 +189,11 @@ class TestRankCandidates:
     def test_no_candidates_rejected(self, catalog):
         with pytest.raises(ValueError, match="no candidate"):
             rank_candidates(np.zeros(6), catalog, Metric("l2"), exclude=set(catalog.track_ids))
+
+    def test_unsegmented_catalog_rejected(self, catalog):
+        raw = Catalog.from_tracks(Track(id=t.id, frames=t.frames) for t in catalog)
+        with pytest.raises(CatalogError, match="not segmented"):
+            rank_candidates(np.zeros(6), raw, Metric("l2"))
 
     def test_wrong_length_prediction_rejected(self, catalog):
         for bad in (np.zeros(5), np.zeros(7)):
@@ -245,7 +251,7 @@ class TestNearestNeighbourGap:
 
 def brute_force_gap(pred, catalog, metric, exclude):
     """Score candidates one at a time, then sort, take the median."""
-    starts = {track.id: track.start_segment() for track in catalog if track.id not in exclude}
+    starts = {track.id: track.sections[0] for track in catalog if track.id not in exclude}
     rows = [(track_id, score(pred, start, metric)) for track_id, start in starts.items()]
     reverse = metric.higher_is_better
     ordered = sorted(rows, key=lambda item: (-item[1] if reverse else item[1], item[0]))
@@ -279,7 +285,7 @@ def test_one_pass_ranking_matches_scoring_one_candidate_at_a_time():
         catalog = segmented_catalog(vectors)
         exclude = {track_id for track_id in ids[1:] if rng.uniform() < 0.3}
         if case % 5 == 0:
-            pred = catalog.tracks[ids[0]].start_segment().copy()
+            pred = catalog.tracks[ids[0]].sections[0].copy()
         else:
             pred = rng.uniform(0, 1, dim)
         depth = int(rng.integers(1, dim + 1))

@@ -17,6 +17,17 @@ for it, streamed to the file. Number arrays whose values are short decimals
 formatted in numpy a block of rows at a time; every other array goes through
 ``json.dumps``. Which path ran never shows in the file.
 
+``load_catalog`` reads a line of at least 64 KiB in the writer's layout (the
+keys above in that order, ``json.dumps`` separators, an id without escapes)
+without ``json``: its number arrays are cut into blocks of whole rows of at most
+64 KiB of text and tokenised as bytes in numpy. A token ``I.ddd`` (I is 0 or 1,
+1 to 15 decimals) is computed exactly in numpy; any other JSON number token
+goes through ``float``. Shorter lines, lines in any other layout, a line whose
+first frame holds longer values on average (full precision, which ``json``
+reads as fast), and any line whose text fails a check are read by
+``json.loads`` as before. Which path ran never shows in the result: the tracks
+and every error are the same.
+
 Catalogs are treated as immutable after construction: segmentation builds a
 new ``Catalog`` rather than mutating one in place.
 """
@@ -24,6 +35,8 @@ new ``Catalog`` rather than mutating one in place.
 from __future__ import annotations
 
 import json
+import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, TextIO
@@ -157,23 +170,40 @@ def load_catalog(path: str | Path) -> Catalog:
     JSON, dimension mismatches, out-of-range values, or duplicate ids.
     """
     path = Path(path)
-    tracks: list[Track] = []
     with path.open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CatalogError(f"line {lineno}: invalid JSON: {exc}") from None
-            tracks.append(_parse_record(record, lineno))
+        tracks = _read_tracks(handle)
     if not tracks:
         raise CatalogError(f"{path}: catalog file contains no tracks")
     try:
         return Catalog.from_tracks(tracks)
     except CatalogError as exc:
         raise CatalogError(f"{path}: {exc}") from None
+
+
+def _read_tracks(lines: Iterable[str]) -> list[Track]:
+    """One track per non-blank line, in file order.
+
+    A line of at least one block (``_READ_BLOCK``) in the writer's layout is
+    read by ``_read_layout``. Every other line, and any line it gives up on, is
+    read by ``json`` (``_parse_line``), so every error is the one ``json`` and
+    ``_parse_record`` raise.
+    """
+    tracks: list[Track] = []
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        track = _read_layout(line) if len(line) >= _READ_BLOCK else None
+        tracks.append(_parse_line(line, lineno) if track is None else track)
+    return tracks
+
+
+def _parse_line(line: str, lineno: int) -> Track:
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise CatalogError(f"line {lineno}: invalid JSON: {exc}") from None
+    return _parse_record(record, lineno)
 
 
 def _parse_record(record: object, lineno: int) -> Track:
@@ -190,10 +220,16 @@ def _parse_record(record: object, lineno: int) -> Track:
         frames = np.asarray(raw_frames, dtype=np.float64)
     except (TypeError, ValueError):
         raise CatalogError(f"{where}: frame dimension mismatch or non-numeric value") from None
+    except OverflowError:
+        raise CatalogError(f"{where}: frame value beyond float range") from None
     if frames.ndim != 2:
         raise CatalogError(f"{where}: frame dimension mismatch")
     frame_hop = record.get("frame_hop", 1.0)
-    if not (_is_int(frame_hop) or isinstance(frame_hop, float)) or not np.isfinite(frame_hop):
+    try:
+        valid = (_is_int(frame_hop) or isinstance(frame_hop, float)) and math.isfinite(frame_hop)
+    except OverflowError:  # an integer beyond float range
+        valid = False
+    if not valid:
         raise CatalogError(f"{where}: invalid 'frame_hop'")
     raw_segments = record.get("segments", [])
     if not isinstance(raw_segments, list):
@@ -212,15 +248,194 @@ def _parse_record(record: object, lineno: int) -> Track:
         rows = [entry["features"] for entry in raw_segments]
         try:
             sections = np.asarray(rows, dtype=np.float64)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             for row in rows:
                 try:
                     np.asarray(row, dtype=np.float64)
                 except (TypeError, ValueError):
                     raise CatalogError(f"{where}: non-numeric segment features") from None
+                except OverflowError:
+                    raise CatalogError(f"{where}: segment value beyond float range") from None
             # Numeric rows of different lengths make no matrix; validation refuses the track.
     return Track(id=track_id, frames=frames, frame_hop=float(frame_hop), starts=starts,
                  sections=sections)
+
+
+# Characters of row text per parsed block: one block's scratch arrays stay below
+# glibc's 128 KiB mmap threshold, as segmentation's blocks do. Lines shorter than
+# a block are left to json, which reads them faster than numpy's per-call costs allow.
+_READ_BLOCK = 64 * 1024
+_NUMBER = r"-?(?:0|[1-9][0-9]*)(\.[0-9]+)?([eE][-+]?[0-9]+)?"
+_JSON_NUMBER = re.compile(_NUMBER)
+_HEAD = re.compile(
+    r'\{"id": "([^"\\\x00-\x1f]+)", "frame_hop": (' + _NUMBER + r'), "frames": \[\['
+)
+_SEGMENTS = ', "segments": [{"start": '
+_NEXT_SEGMENT = ']}, {"start": '
+_FEATURES = ', "features": ['
+_STARTS = re.compile(r"(?:0|[1-9][0-9]{0,17})(?: (?:0|[1-9][0-9]{0,17}))*")  # fit int64
+_PAD = bytes(24)  # room for the 8-byte reads at 2 and 10 bytes into the last token
+_ZEROS = np.uint64(0x3030303030303030)  # "00000000"
+_KEEP = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)  # low k bytes
+
+
+def _json_number(token: str) -> float | None:
+    """The float ``json.loads`` reads from a JSON number token; None for any other text."""
+    match = _JSON_NUMBER.fullmatch(token)
+    if match is None:
+        return None
+    try:
+        return float(token) if match.lastindex else float(int(token))
+    except (OverflowError, ValueError):  # an integer beyond float range or int's digit limit
+        return None
+
+
+def _read_layout(line: str) -> Track | None:
+    """The track of a line in ``save_catalog``'s layout; None for any other line.
+
+    The layout is ``{"id": ..., "frame_hop": ..., "frames": [[...]]}``, optionally
+    with ``"segments": [{"start": ..., "features": [...]}, ...]`` before the
+    closing brace, all with ``json.dumps`` separators and an id without escapes.
+    Its number arrays are read by ``_parse_array``.
+    """
+    head = _HEAD.match(line)
+    if head is None:
+        return None
+    frame_hop = _json_number(head[2])
+    close = line.find("]]", head.end())
+    if frame_hop is None or not math.isfinite(frame_hop) or close <= head.end():
+        return None
+    first_row = line.find("], [", head.end(), close)
+    first_row = close if first_row < 0 else first_row
+    width = line.count(", ", head.end(), first_row) + 1
+    if first_row - head.end() + 2 > 19 * width:  # values longer than ``1.`` and 15 decimals:
+        return None  # json reads them as fast
+    frames = _parse_array(line, head.end(), close, width)
+    if frames is None:
+        return None
+    starts = sections = None
+    if len(line) != close + 3:  # more than the closing "]]}"
+        if not (line.startswith(_SEGMENTS, close + 2) and line.endswith("]}]}")):
+            return None
+        entries = line[close + 2 + len(_SEGMENTS) : -4].split(_NEXT_SEGMENT)
+        entries = [entry.partition(_FEATURES) for entry in entries]
+        first_frames = " ".join(start for start, _, _ in entries)
+        rows = [row for _, _, row in entries]
+        if (_STARTS.fullmatch(first_frames) is None or first_frames.count(" ") != len(rows) - 1
+                or any("], [" in row for row in rows)):
+            return None
+        starts = np.array([int(start) for start in first_frames.split(" ")], dtype=np.int64)
+        text = "], [".join(rows)
+        sections = _parse_array(text, 0, len(text), width)
+        if sections is None:
+            return None
+    elif line[-1] != "}":
+        return None
+    return Track(id=head[1], frames=frames, frame_hop=frame_hop, starts=starts,
+                 sections=sections)
+
+
+def _parse_array(text: str, start: int, end: int, width: int) -> np.ndarray | None:
+    """The ``(rows, width)`` values of the row text ``text[start:end]``; None if it does not parse.
+
+    The rows are counted from their ``"], ["`` separators and the array is
+    allocated only when the text is long enough to hold that many values (one
+    character each, two between them), so no text can claim more memory than
+    its own length suggests. It is then filled a block of whole rows at a time,
+    each block at most ``_READ_BLOCK`` characters unless one row is longer.
+    """
+    rows = text.count("], [", start, end) + 1
+    if 3 * rows * width - 2 > end - start:
+        return None
+    array = np.empty((rows, width))
+    filled = 0
+    while True:
+        cut = end if end - start <= _READ_BLOCK else text.rfind("], [", start, start + _READ_BLOCK)
+        if cut <= start:  # one row longer than a block, or an empty row
+            cut = text.find("], [", start, end)
+            cut = end if cut < 0 else cut
+        block = _parse_rows(text[start:cut], width)
+        if block is None:
+            return None
+        array[filled : filled + len(block)] = block
+        filled += len(block)
+        if cut == end:
+            return array
+        start = cut + 4
+
+
+def _parse_rows(text: str, width: int) -> np.ndarray | None:
+    """The ``(rows, width)`` values of row text, exactly as ``json.loads`` reads them.
+
+    ``text`` is number tokens joined by ``", "`` within a row and ``"], ["``
+    between rows; any other text gives None. A token ``I.ddd`` (I is 0 or 1,
+    1 to 15 decimals) is read as the integer ``Iddd`` scaled to 15 decimals,
+    divided by 1e15: both are exact doubles and division rounds correctly, so
+    the value is ``float(token)``. Any other token goes through ``_json_number``.
+    """
+    raw = text.encode()
+    n = len(raw)
+    if n != len(text):  # not ASCII
+        return None
+    buffer = raw + _PAD
+    padded = np.frombuffer(buffer, dtype=np.uint8)
+    data = padded[:n]
+    # Every comma opens ", " or, after "]", "], [": tokens lie between them.
+    commas = np.flatnonzero(data == ord(","))
+    row_ends = data[commas - 1] == ord("]")
+    if not ((padded[commas + 1] == ord(" ")).all()
+            and (padded[commas[row_ends] + 2] == ord("[")).all()):
+        return None
+    starts = np.concatenate(([0], commas + 2 + row_ends))
+    ends = np.concatenate((commas - row_ends, [n]))
+    lengths = ends - starts
+    breaks = np.flatnonzero(row_ends)
+    if (lengths.min() < 1 or starts.size % width
+            or not np.array_equal(breaks, np.arange(width - 1, starts.size - 1, width))):
+        return None
+    shape = (starts.size // width, width)
+    # Decimal tokens: 0 or 1, a point, then digits only. When the non-digit
+    # bytes are just the separators and those points, no token holds another.
+    first = data[starts]
+    decimal = ((first == ord("0")) | (first == ord("1"))) & (padded[starts + 1] == ord("."))
+    decimal &= lengths >= 3
+    separator_bytes = 2 * (commas.size + breaks.size)
+    non_digit = (data - ord("0")) > 9
+    if n - np.count_nonzero(~non_digit) != separator_bytes + np.count_nonzero(decimal):
+        for at in (commas, commas + 1, commas[row_ends] - 1, commas[row_ends] + 2,
+                   starts[decimal] + 1):
+            non_digit[at] = False
+        stray = np.flatnonzero(non_digit)
+        decimal[np.searchsorted(starts, stray, side="right") - 1] = False
+    exact = decimal & (lengths <= 17)
+    # Up to 8 decimals from the 8 bytes at the first decimal, the rest from the
+    # next 8; bytes past the token are masked off before the digits are summed.
+    # The bytes are gathered as raw 8-byte items: much faster than gathering
+    # unaligned integers, and the gathered copy is aligned.
+    decimals = np.clip(lengths - 2, 0, 15)
+    words = np.ndarray((n + 16,), dtype="V8", buffer=buffer, strides=(1,))
+    low = _eight_digits((words[starts + 2].view("<u8") - _ZEROS) & _KEEP[np.minimum(decimals, 8)])
+    numerators = (first.astype(np.int64) - ord("0")) * 10**15 + low.astype(np.int64) * 10**7
+    if (decimals[exact] > 8).any():
+        high = words[starts + 10].view("<u8")
+        high = _eight_digits((high - _ZEROS) & _KEEP[np.maximum(decimals - 8, 0)])
+        numerators += (high // 10).astype(np.int64)
+    values = numerators / 1e15
+    others = np.flatnonzero(~exact)
+    if others.size:
+        parsed = [_json_number(text[lo:hi])
+                  for lo, hi in zip(starts[others].tolist(), ends[others].tolist())]
+        if None in parsed:
+            return None
+        values[others] = parsed
+    return values.reshape(shape)
+
+
+def _eight_digits(words: np.ndarray) -> np.ndarray:
+    """The 8-digit numbers whose digits (0-9) are each word's bytes, first byte first."""
+    words = (words * 10 + (words >> 8)) & 0x00FF00FF00FF00FF
+    words = (words * 100 + (words >> 16)) & 0x0000FFFF0000FFFF
+    return (words * 10000 + (words >> 32)) & 0xFFFFFFFF
 
 
 def save_catalog(catalog: Catalog, path: str | Path) -> None:

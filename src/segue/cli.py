@@ -3,8 +3,8 @@ generate playlists, compare metrics, and export transition matrices.
 
 Exit codes: 0 success, 1 usage error, 2 data or validation error, 3 training
 divergence. Every run echoes its resolved configuration to stderr so results
-can be reproduced exactly. Set SEGUE_LOG=debug|info|warning|error to control
-log verbosity.
+can be reproduced exactly. Set SEGUE_LOG=debug|info|warning|error (any case) to
+control log verbosity; any other value is a validation error (exit 2).
 """
 
 from __future__ import annotations
@@ -124,9 +124,16 @@ def _add_generate_args(parser: argparse.ArgumentParser) -> None:
                         help="cosine distance above which a no-near-neighbour event is logged")
 
 
+_LOG_LEVELS = ("debug", "info", "warning", "error")
+
+
 def main(argv: list[str] | None = None) -> int:
-    level = os.environ.get("SEGUE_LOG", "warning").upper()
-    logging.basicConfig(stream=sys.stderr, level=getattr(logging, level, logging.WARNING))
+    level = os.environ.get("SEGUE_LOG") or "warning"
+    if level.lower() not in _LOG_LEVELS:
+        print(f"segue: error: SEGUE_LOG={level!r} is not one of {'|'.join(_LOG_LEVELS)}",
+              file=sys.stderr)
+        return 2
+    logging.basicConfig(stream=sys.stderr, level=level.upper())
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

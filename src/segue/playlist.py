@@ -222,6 +222,12 @@ def export_transition_matrix(playlist: Playlist, catalog: Catalog) -> Transition
             f"playlist has {len(playlist.steps)} steps for {len(playlist.track_ids)} tracks; "
             "expected one step fewer than tracks"
         )
+    for index, step in enumerate(playlist.steps):
+        if step.prediction.shape != (catalog.dimension,):
+            raise ValueError(
+                f"step {index}: prediction has shape {step.prediction.shape}, "
+                f"expected ({catalog.dimension},)"
+            )
     labels: list[str] = []
     blocks: list[np.ndarray] = []
     for index, sections in enumerate(_sections_of(playlist, catalog)):
@@ -257,11 +263,16 @@ def read_transition_csv(path) -> TransitionMatrix:
     """Parse a transition CSV back into labels and rows."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader)
+        header = next(reader, None)
         if not header or header[0] != "label":
             raise ValueError("not a transition matrix CSV")
         labels, rows = [], []
         for record in reader:
+            if len(record) != len(header):
+                raise ValueError(
+                    f"line {reader.line_num}: {max(len(record) - 1, 0)} values, "
+                    f"expected {len(header) - 1}"
+                )
             labels.append(record[0])
             rows.append(np.array([float(v) for v in record[1:]]))
     return TransitionMatrix(labels=labels, rows=np.stack(rows))

@@ -1,0 +1,404 @@
+"""The catalog reader: every line loads exactly as ``_parse_record(json.loads(line))``."""
+
+import json
+import random
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from segue import catalog as catalog_module
+from segue.catalog import Catalog, CatalogError, Track, load_catalog, save_catalog
+from segue.features import SynthSpec, generate_synthetic_catalog
+from segue.segmentation import segment_catalog
+
+_GOOD = '{"id": "g%d", "frame_hop": 0.5, "frames": [[0.25, 0.5], [0.75, 1.0]]}'
+_FRAMES = '"frames": [[0.25, 0.5], [0.75, 1.0]]'
+_OUT_OF_RANGE = "{path}: track '%s': frame element outside [0, 1]"
+_WIDE = ", ".join(["0"] * 20_000)  # a first frame row that claims a width of 20,000
+
+# Lines near the writer's layout, each with the exact error it raises: the fault,
+# the decoded id and the line number show which text was read and how.
+HOSTILE = {
+    "ragged row": (
+        ['{"id": "a", "frame_hop": 0.5, "frames": [[0.25, 0.5], [0.75]]}'],
+        "line 1: track 'a': frame dimension mismatch or non-numeric value"),
+    "ragged section rows": (
+        ['{"id": "a", "frame_hop": 0.5, %s, "segments": [{"start": 0, "features": [0.25, 0.5]}, '
+         '{"start": 1, "features": [0.5]}]}' % _FRAMES],
+        "{path}: track 'a': segment feature dimension mismatch"),
+    "NaN": (
+        ['{"id": "a", "frame_hop": 0.5, "frames": [[0.25, NaN]]}'],
+        "{path}: track 'a': non-finite frame element"),
+    "1.5": (['{"id": "a", "frame_hop": 0.5, "frames": [[0.25, 1.5]]}'], _OUT_OF_RANGE % "a"),
+    "1.5 in a section": (
+        ['{"id": "a", "frame_hop": 0.5, %s, "segments": [{"start": 0, "features": [0.25, 1.5]}]}'
+         % _FRAMES],
+        "{path}: track 'a': segment element outside [0, 1]"),
+    "true is read as 1": (
+        ['{"id": "a", "frame_hop": 0.5, "frames": [[true, 0.5]]}',
+         '{"id": "b", "frame_hop": 0.5, "frames": [[0.5, 0.5, 0.5]]}'],
+        "{path}: track 'b': dimension 3 does not match catalog dimension 2"),
+    "true start": (
+        ['{"id": "a", "frame_hop": 0.5, %s, "segments": [{"start": true, "features": [0.25, 0.5]}]}'
+         % _FRAMES],
+        "line 1: track 'a': segment start must be an integer"),
+    "missing ]": (
+        ['{"id": "a", "frame_hop": 0.5, "frames": [[0.25, 0.5], [0.75, 1.0]}'],
+        "line 1: invalid JSON: Expecting ',' delimiter: line 1 column 66 (char 65)"),
+    "escaped id": (
+        ['{"id": "a\\"b\\u00e9", "frame_hop": 0.5, "frames": [[0.25, 1.5]]}'],
+        _OUT_OF_RANGE % 'a"bé'),
+    "non-ASCII id": (
+        ['{"id": "zoë", "frame_hop": 0.5, "frames": [[0.25, 1.5]]}'],
+        _OUT_OF_RANGE % "zoë"),
+    "extra space in a row": (
+        ['{"id": "a", "frame_hop": 0.5, "frames": [[0.25,  1.5]]}'], _OUT_OF_RANGE % "a"),
+    "extra spaces around rows": (
+        ['{"id": "a", "frame_hop": 0.5, "frames": [ [0.25, 1.5] ]}'], _OUT_OF_RANGE % "a"),
+    "compact separators": (
+        ['{"id": "a", "frame_hop": 0.5, "frames": [[0.25,10.5]]}'], _OUT_OF_RANGE % "a"),
+    "compact row separator": (
+        ['{"id": "a", "frame_hop": 0.5, "frames": [[0.25, 0.5],[0.75, 1.5]]}'],
+        _OUT_OF_RANGE % "a"),
+    "compact separator in a later row": (
+        ['{"id": "a", "frame_hop": 0.5, "frames": [[0.25, 0.5], [0.75,10.5]]}'],
+        _OUT_OF_RANGE % "a"),
+    "compact row separator before a long value": (
+        ['{"id": "a", "frame_hop": 0.5, "frames": [[0.25, 0.5],[10.75, 0.5]]}'],
+        _OUT_OF_RANGE % "a"),
+    "other key order": (
+        ['{"frames": [[0.25, 1.5]], "id": "a", "frame_hop": 0.5}'], _OUT_OF_RANGE % "a"),
+    "duplicate frames key": (
+        ['{"id": "a", "frame_hop": 0.5, "frames": [[0.25, 0.5]], "frames": [[0.25, 1.5]]}'],
+        _OUT_OF_RANGE % "a"),
+    "duplicate id key": (
+        ['{"id": "a", "id": "b", "frame_hop": 0.5, "frames": [[0.25, 1.5]]}'],
+        _OUT_OF_RANGE % "b"),
+    "duplicate segment entry key": (
+        ['{"id": "a", "frame_hop": 0.5, %s, "segments": [{"start": 0, "start": 2, '
+         '"features": [0.25, 0.5]}]}' % _FRAMES],
+        "{path}: track 'a': segment start 2 outside frame range"),
+    "bad line, JSON error later": (
+        [_GOOD % 1, '{"id": "b", "frame_hop": 0.5, "frames": [[0.25, 0.5], [0.75]]}', _GOOD % 3,
+         "{not json"],
+        "line 2: track 'b': frame dimension mismatch or non-numeric value"),
+    "bad number, JSON error later": (
+        [_GOOD % 1, '{"id": "b", "frame_hop": 0.5, "frames": [[0.25, 00.5]]}', _GOOD % 3,
+         "{not json"],
+        "line 2: invalid JSON: Expecting ',' delimiter: line 1 column 50 (char 49)"),
+    "bad value, JSON error later": (
+        [_GOOD % 1, '{"id": "b", "frame_hop": 0.5, "frames": [[0.25, 1.5]]}', _GOOD % 3,
+         "{not json"],
+        "line 4: invalid JSON: Expecting property name enclosed in double quotes: "
+        "line 1 column 2 (char 1)"),
+    ".5": (['{"id": "a", "frame_hop": 0.5, "frames": [[0.25, .5]]}'],
+           "line 1: invalid JSON: Expecting value: line 1 column 49 (char 48)"),
+    "1.": (['{"id": "a", "frame_hop": 0.5, "frames": [[0.25, 1.]]}'],
+           "line 1: invalid JSON: Expecting ',' delimiter: line 1 column 50 (char 49)"),
+    "+0.5": (['{"id": "a", "frame_hop": 0.5, "frames": [[0.25, +0.5]]}'],
+             "line 1: invalid JSON: Expecting value: line 1 column 49 (char 48)"),
+    "exponent out of range": (
+        ['{"id": "a", "frame_hop": 0.5, "frames": [[0.25, 1e1]]}'], _OUT_OF_RANGE % "a"),
+    "negative value": (
+        ['{"id": "a", "frame_hop": 0.5, "frames": [[0.25, -0.5]]}'], _OUT_OF_RANGE % "a"),
+    "infinite frame_hop": (
+        ['{"id": "a", "frame_hop": 1e999, "frames": [[0.25, 0.5]]}'],
+        "line 1: track 'a': invalid 'frame_hop'"),
+    "empty features": (
+        ['{"id": "a", "frame_hop": 0.5, "frames": [[0.25, 0.5]], '
+         '"segments": [{"start": 0, "features": []}]}'],
+        "{path}: track 'a': segment feature dimension mismatch"),
+    "nested features": (
+        ['{"id": "a", "frame_hop": 0.5, "frames": [[0.25, 0.5]], '
+         '"segments": [{"start": 0, "features": [[0.25, 0.5]]}]}'],
+        "{path}: track 'a': segment feature dimension mismatch"),
+    "nested frames": (
+        ['{"id": "a", "frame_hop": 0.5, "frames": [[[0.25, 0.5]]]}'],
+        "line 1: track 'a': frame dimension mismatch"),
+    "extra brace": (
+        ['{"id": "a", "frame_hop": 0.5, "frames": [[0.25, 0.5]]}}'],
+        "line 1: invalid JSON: Extra data: line 1 column 55 (char 54)"),
+    "control character in id": (
+        ['{"id": "a\x01", "frame_hop": 0.5, "frames": [[0.25, 0.5]]}'],
+        "line 1: invalid JSON: Invalid control character at: line 1 column 10 (char 9)"),
+    "empty id": (
+        ['{"id": "", "frame_hop": 0.5, "frames": [[0.25, 0.5]]}'],
+        "line 1: missing or invalid 'id'"),
+    "leading zero start": (
+        ['{"id": "a", "frame_hop": 0.5, "frames": [[0.25, 0.5]], '
+         '"segments": [{"start": 01, "features": [0.25, 0.5]}]}'],
+        "line 1: invalid JSON: Expecting ',' delimiter: line 1 column 80 (char 79)"),
+    "float start": (
+        ['{"id": "a", "frame_hop": 0.5, "frames": [[0.25, 0.5]], '
+         '"segments": [{"start": 1.0, "features": [0.25, 0.5]}]}'],
+        "line 1: track 'a': segment start must be an integer"),
+    "empty segments, then a bad line": (
+        ['{"id": "a", "frame_hop": 0.5, "frames": [[0.25, 0.5]], "segments": []}',
+         '{"id": "b", "frame_hop": 0.5, "frames": [[0.25, 1.5]]}'],
+        _OUT_OF_RANGE % "b"),
+    # Rows and width that, taken from the separators alone, would claim a
+    # 20,000 x 20,000 array (3.2 GB) from text of well under 1 MB.
+    "wide first row, then narrow rows": (
+        ['{"id": "a", "frame_hop": 0.5, "frames": [[%s%s]]}' % (_WIDE, "], [0" * 20_000)],
+        "line 1: track 'a': frame dimension mismatch or non-numeric value"),
+    "wide frame, then narrow sections": (
+        ['{"id": "a", "frame_hop": 0.5, "frames": [[%s]], "segments": [%s]}'
+         % (_WIDE, ", ".join(['{"start": 0, "features": [0]}'] * 20_000))],
+        "{path}: track 'a': segment starts are not strictly increasing"),
+}
+
+
+@pytest.mark.parametrize("block", [None, 16], ids=["default blocks", "16-character blocks"])
+@pytest.mark.parametrize("lines, message", list(HOSTILE.values()), ids=list(HOSTILE))
+def test_hostile_lines_raise_the_same_error(monkeypatch, tmp_path, block, lines, message):
+    """Each line raises its error with little memory, whichever path reads it.
+
+    With 16-character blocks every line is long enough for the numpy reader;
+    with the default, only the long ones are.
+    """
+    if block is not None:
+        monkeypatch.setattr(catalog_module, "_READ_BLOCK", block, raising=False)
+    path = tmp_path / "cat.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    tracemalloc.start()
+    try:
+        with pytest.raises(CatalogError) as caught:
+            load_catalog(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(caught.value) == message.format(path=path)
+    assert peak < 16_000_000
+
+
+def _oracle(lines):
+    """Tracks as ``json`` reads them: the reference for every reader path."""
+    return [catalog_module._parse_record(json.loads(line), lineno)
+            for lineno, line in enumerate(lines, start=1)]
+
+
+def _assert_same_tracks(found, expected):
+    assert [t.id for t in found] == [t.id for t in expected]
+    for got, want in zip(found, expected):
+        assert got.frame_hop == want.frame_hop and type(got.frame_hop) is float, got.id
+        for name in ("frames", "starts", "sections"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a is None) == (b is None), (got.id, name)
+            if a is not None:
+                assert (a.dtype, a.shape) == (b.dtype, b.shape), (got.id, name)
+                assert a.tobytes() == b.tobytes(), (got.id, name)
+
+
+_EDGE_TOKENS = [
+    "0.0", "1.0", "-0.0", "0", "1", "-0", "12", "-3.25", "1e-4", "0.0001", "1e-04", "1E-4",
+    repr(np.nextafter(1e-4, 0.0).item()), repr(np.nextafter(1e-4, 1.0).item()),
+    "5e-05", "1e-05", "2.5e-3", "1e0", "0.1e1", "1e+0", "0.5E+1", "9.5e-7",
+    "123456789012345678901234567890", "0.1000000000000000055511151231257827",
+    "0.999999999999999999", "1.000000000000000001",
+]
+
+
+def _full_precision(rng) -> str:
+    return repr(rng.random())
+
+
+def _token(rng) -> str:
+    """A JSON number: mostly I.ddd with 1-17 decimals, else an integer or an edge case."""
+    kind = rng.random()
+    if kind < 0.08:
+        return rng.choice(_EDGE_TOKENS)
+    if kind < 0.12:
+        return _full_precision(rng)
+    places = rng.randrange(18)
+    whole = str(rng.randrange(2))
+    if places == 0:
+        return whole
+    return f"{whole}.{rng.randrange(10**places):0{places}d}"
+
+
+def _rows_text(rng, rows: int, width: int, token=None) -> str:
+    token = token or _token
+    return "], [".join(", ".join(token(rng) for _ in range(width)) for _ in range(rows))
+
+
+def _bit(rng) -> str:
+    return str(rng.randrange(2))
+
+
+def _short(rng) -> str:
+    return f"0.{rng.randrange(10**6):06d}"
+
+
+def _long(rng) -> str:
+    return f"0.{rng.randrange(10**17):017d}"
+
+
+def _random_line(rng, index: int, width: int) -> tuple[str, bool]:
+    """A line in the writer's layout, and whether its values are all full precision.
+
+    Mixed lines start with a row of short decimals, full-precision ones with a
+    row of 17-decimal values: a first row of long values sends a whole line to
+    json.
+    """
+    token = rng.choice([_token] * 8 + [_full_precision, _bit])
+    shape = rng.random()
+    rows = 1 if shape < 0.15 else rng.randrange(2, 30)
+    if shape > 0.97:  # longer than a default block
+        rows = rng.randrange(1, 3) * 80_000 // (width * 11)
+    first = _rows_text(rng, 1, width, _long if token is _full_precision else _short)
+    line = f'{{"id": "t{index}", "frame_hop": {_token(rng)}, "frames": [[{first}'
+    if rows > 1:
+        line += "], [" + _rows_text(rng, rows - 1, width, token)
+    line += "]]"
+    if rng.random() < 0.5:
+        starts = sorted(rng.sample(range(10**6), rng.randrange(1, 10)))
+        entries = [f'{{"start": {s}, "features": [{_rows_text(rng, 1, width, token)}]}}'
+                   for s in starts]
+        line += ', "segments": [' + ", ".join(entries) + "]"
+    return line + "}", token is _full_precision
+
+
+class TestFastPath:
+    """Lines in the writer's layout are read by numpy, with json's exact result.
+
+    Most tests shrink the block (``_READ_BLOCK``) so that short lines are long
+    enough for the numpy reader and are read a few rows at a time.
+    """
+
+    @pytest.fixture
+    def json_reads(self, monkeypatch):
+        """The numbers of the lines read whole by json."""
+        reads = []
+        parse_line = catalog_module._parse_line
+
+        def record(line, lineno):
+            reads.append(lineno)
+            return parse_line(line, lineno)
+
+        monkeypatch.setattr(catalog_module, "_parse_line", record)
+        return reads
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_generated_lines_match_json(self, monkeypatch, json_reads, seed):
+        block = [64, 256, 4096, 1024][seed]
+        monkeypatch.setattr(catalog_module, "_READ_BLOCK", block)
+        rng = random.Random(seed)
+        width = [1, 3, 50, 7][seed]
+        generated = [_random_line(rng, index, width) for index in range(150)]
+        lines = [line for line, _ in generated]
+        _assert_same_tracks(catalog_module._read_tracks(lines), _oracle(lines))
+        assert json_reads == [n for n, (line, long) in enumerate(generated, start=1)
+                              if long or len(line) < block]
+        assert len(json_reads) < len(lines) // 2
+
+    @pytest.mark.parametrize("places", range(1, 18))
+    def test_every_decimal_count(self, monkeypatch, json_reads, places):
+        # Blocks of I.ddd tokens of one length, integer digit 0 or 1: read by
+        # numpy up to 15 decimals; lines of longer ones go to json whole.
+        monkeypatch.setattr(catalog_module, "_READ_BLOCK", 1024)
+        rng = random.Random(places)
+
+        def token(rng):
+            return f"{rng.randrange(2)}.{rng.randrange(10**places):0{places}d}"
+
+        lines = [f'{{"id": "t{i}", "frame_hop": 0.5, "frames": [[{_rows_text(rng, 20, 30, token)}]]}}'
+                 for i in range(4)]
+        _assert_same_tracks(catalog_module._read_tracks(lines), _oracle(lines))
+        assert json_reads == ([] if places <= 15 else [1, 2, 3, 4])
+
+    def test_edge_tokens_among_short_decimals(self, monkeypatch, json_reads):
+        monkeypatch.setattr(catalog_module, "_READ_BLOCK", 64)
+        rng = np.random.default_rng(11)
+        lines = []
+        for index, edge in enumerate(_EDGE_TOKENS):
+            values = [f"0.{v:06d}" for v in rng.integers(0, 10**6, 20)]
+            values[10 + index % 10] = edge
+            lines.append(f'{{"id": "e{index}", "frame_hop": {edge}, "frames": '
+                         f'[[{", ".join(values[:10])}], [{", ".join(values[10:])}]]}}')
+        _assert_same_tracks(catalog_module._read_tracks(lines), _oracle(lines))
+        assert json_reads == []
+
+    @pytest.mark.parametrize("frames", [
+        "[[0.1234567890123456],[0.2345678901234567]]",
+        "[[0.1234567890123456,0.2345678901234567]]",
+        "[[0.1234567890123456, 0.2345678901234567],[0.3456789012345678, 0.4567890123456789]]",
+        "[[1, 0], [0,1]]",
+        "[[0.5, 1], [0, 0.25], [1e-5, 0.5E1]]",
+    ])
+    def test_lines_near_the_layout_match_json(self, monkeypatch, frames):
+        monkeypatch.setattr(catalog_module, "_READ_BLOCK", 16)
+        lines = [_GOOD % 1, '{"id": "a", "frame_hop": 0.5, "frames": %s}' % frames, _GOOD % 3]
+        _assert_same_tracks(catalog_module._read_tracks(lines), _oracle(lines))
+
+    def test_writer_output_is_read_without_json(self, monkeypatch, json_reads, tmp_path):
+        monkeypatch.setattr(catalog_module, "_READ_BLOCK", 1024)
+        spec = SynthSpec(track_count=6, cluster_count=2, dimension=8, strong_dims=2,
+                         weak_dims=2, segment_range=(2, 4), frames_per_segment=(20, 30), seed=4)
+        segmented = segment_catalog(Catalog.from_tracks(
+            Track(id=t.id, frames=np.round(t.frames, 6), frame_hop=t.frame_hop)
+            for t in generate_synthetic_catalog(spec)
+        ))
+        path = tmp_path / "seg.jsonl"
+        save_catalog(segmented, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        _assert_same_tracks(list(load_catalog(path)), _oracle(lines))
+        assert json_reads == []
+
+    def test_only_lines_of_a_block_or_more_are_read_without_json(self, json_reads):
+        rng = np.random.default_rng(5)
+        long_rows = "], [".join(", ".join(f"{v:.6f}" for v in row)
+                                for row in rng.uniform(0.0, 1.0, (800, 20)))
+        lines = ['{"id": "long%d", "frame_hop": 0.5, "frames": [[%s]]}' % (i, long_rows)
+                 for i in range(2)]
+        lines.insert(1, _GOOD % 1)
+        assert len(lines[0]) >= catalog_module._READ_BLOCK > len(lines[1])
+        _assert_same_tracks(catalog_module._read_tracks(lines), _oracle(lines))
+        assert json_reads == [2]
+
+
+_HUGE = "1" + "0" * 400  # an integer JSON reads exactly, beyond float range
+
+
+@pytest.mark.parametrize("line, fault", [
+    ('{"id": "a", "frame_hop": 0.5, "frames": [[0.25, %s]]}' % _HUGE,
+     "frame value beyond float range"),
+    ('{"id": "a", "frame_hop": 0.5, "frames": [[0.25, 0.5]], '
+     '"segments": [{"start": 0, "features": [0.25, %s]}]}' % _HUGE,
+     "segment value beyond float range"),
+    ('{"id": "a", "frame_hop": 0.5, "frames": [[0.25, 0.5]], "segments": [{"start": 0, '
+     '"features": [0.25, 0.5]}, {"start": 1, "features": [0.25, %s, 0.5]}]}' % _HUGE,
+     "segment value beyond float range"),
+    ('{"id": "a", "frame_hop": %s, "frames": [[0.25, 0.5]]}' % _HUGE, "invalid 'frame_hop'"),
+], ids=["frames", "features", "ragged features", "frame_hop"])
+def test_integer_beyond_float_range_is_a_catalog_error(tmp_path, line, fault):
+    path = tmp_path / "cat.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    with pytest.raises(CatalogError) as caught:
+        load_catalog(path)
+    assert str(caught.value) == f"line 1: track 'a': {fault}"
+
+
+def test_reader_scratch_is_bounded(tmp_path):
+    """Loading one 36,000 x 50 track holds little beyond the text line and the array.
+
+    Reading the line (and its ``strip``) is measured alone first: the reader
+    must hold that text, so the bound is on what it needs beyond the line and
+    the loaded frames.
+    """
+    frames = np.round(np.random.default_rng(0).uniform(0.0, 1.0, (36_000, 50)), 6)
+    path = tmp_path / "big.jsonl"
+    save_catalog(Catalog.from_tracks([Track(id="big", frames=frames)]), path)
+    tracemalloc.start()
+    try:
+        with path.open(encoding="utf-8") as handle:
+            lines = [line.strip() for line in handle]
+        del lines
+        reading = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        catalog = load_catalog(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(catalog.tracks["big"].frames, frames)
+    assert peak - frames.nbytes - reading < 4_000_000

@@ -223,7 +223,11 @@ class TestExitCodes:
         (lambda data: {k: v for k, v in data.items() if k != "metric"}, "missing key 'metric'"),
         (lambda data: [data], "not a JSON object"),
         (lambda data: {**data, "steps": []}, "0 steps for 3 tracks"),
-    ], ids=["missing-metric", "top-level-list", "no-steps"])
+        (lambda data: {**data, "steps": [{**data["steps"][0],
+                                           "prediction": data["steps"][0]["prediction"][:5]},
+                                          *data["steps"][1:]]},
+         "step 0: prediction has shape (5,), expected (12,)"),
+    ], ids=["missing-metric", "top-level-list", "no-steps", "cut-prediction"])
     def test_malformed_playlist_is_data_error(self, pipeline, tmp_path, capsys, edit, message):
         playlist_path = tmp_path / "playlist.json"
         assert run(["generate", "-i", str(pipeline["segmented"]), "-m", str(pipeline["model"]),
@@ -235,6 +239,13 @@ class TestExitCodes:
                     "-p", str(playlist_path), "-o", str(tmp_path / "t.csv")])
         assert code == 2
         assert message in capsys.readouterr().err
+
+    def test_integer_beyond_float_range_is_data_error(self, tmp_path, capsys):
+        catalog = tmp_path / "huge.jsonl"
+        catalog.write_text('{"id": "a", "frame_hop": 0.5, "frames": [[0.5, 1%s]]}\n' % ("0" * 400))
+        code = run(["segment", "-i", str(catalog), "-o", str(tmp_path / "o.jsonl")])
+        assert code == 2
+        assert "line 1: track 'a': frame value beyond float range" in capsys.readouterr().err
 
     def test_divergence_maps_to_exit_three(self, pipeline, tmp_path, monkeypatch, capsys):
         def explode(*args, **kwargs):
@@ -254,6 +265,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "# segue config:" in err
         assert '"tracks": 2' in err
+
+
+class TestLogLevel:
+    @pytest.mark.parametrize("value", ["debug", "INFO", "Warning", "error", ""])
+    def test_documented_levels_in_any_case(self, value, tmp_path, monkeypatch):
+        monkeypatch.setenv("SEGUE_LOG", value)
+        out = tmp_path / "c.jsonl"
+        assert run(["synth", "--tracks", "2", "--clusters", "1", "--dim", "4",
+                    "--strong-dims", "1", "--weak-dims", "1", "-o", str(out)]) == 0
+        assert out.exists()
+
+    @pytest.mark.parametrize("value", ["basic_format", "inf", "raiseExceptions", "critical", "10"])
+    def test_other_values_fail_before_reading(self, value, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SEGUE_LOG", value)
+        out = tmp_path / "o.jsonl"
+        code = run(["segment", "-i", str(tmp_path / "absent.jsonl"), "-o", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"SEGUE_LOG='{value}' is not one of debug|info|warning|error" in err
+        assert "absent" not in err and not out.exists()
 
 
 class TestHelp:

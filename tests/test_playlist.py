@@ -1,5 +1,7 @@
 """Generation loop contracts, transition-matrix export, and coherence diagnostics."""
 
+import dataclasses
+
 import logging
 
 import numpy as np
@@ -249,6 +251,26 @@ class TestExportTransitionMatrix:
         np.testing.assert_array_equal(parsed.rows, matrix.rows)
         header = path.read_text().splitlines()[0]
         assert header == "label," + ",".join(f"dim_{d}" for d in range(4))
+
+    def test_empty_csv_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="^not a transition matrix CSV$"):
+            read_transition_csv(path)
+
+    def test_short_csv_row_names_its_line(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("label,dim_0,dim_1,dim_2\nseg:a:0,0.1,0.2,0.3\npred:0,0.1,0.2\n")
+        with pytest.raises(ValueError, match=r"^line 3: 2 values, expected 3$"):
+            read_transition_csv(path)
+
+    def test_cut_prediction_names_its_step(self):
+        catalog = make_catalog(track_count=4, seed=9)
+        result = generate(catalog, make_model(seed=9), "t00", 3, Metric("dcg"))
+        cut = dataclasses.replace(result.steps[1], prediction=result.steps[1].prediction[:2])
+        result.steps[1] = cut
+        with pytest.raises(ValueError, match=r"^step 1: prediction has shape \(2,\), expected \(4,\)$"):
+            export_transition_matrix(result, catalog)
 
     def test_step_count_mismatch_rejected(self):
         catalog = make_catalog()

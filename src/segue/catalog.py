@@ -17,16 +17,21 @@ for it, streamed to the file. Number arrays whose values are short decimals
 formatted in numpy a block of rows at a time; every other array goes through
 ``json.dumps``. Which path ran never shows in the file.
 
-``load_catalog`` reads a line of at least 64 KiB in the writer's layout (the
-keys above in that order, ``json.dumps`` separators, an id without escapes)
-without ``json``: its number arrays are cut into blocks of whole rows of at most
-64 KiB of text and tokenised as bytes in numpy. A token ``I.ddd`` (I is 0 or 1,
-1 to 15 decimals) is computed exactly in numpy; any other JSON number token
-goes through ``float``. Shorter lines, lines in any other layout, a line whose
-first frame holds longer values on average (full precision, which ``json``
-reads as fast), and any line whose text fails a check are read by
-``json.loads`` as before. Which path ran never shows in the result: the tracks
-and every error are the same.
+``load_catalog`` reads lines in the writer's layout (the keys above in that
+order, ``json.dumps`` separators, an id without escapes) without ``json``,
+whatever their length. Consecutive such lines are gathered into batches of
+about ``_BATCH_TEXT`` (128 KiB) of text, a longer line being a batch of its own.
+A batch's frame rows, then its section rows, are parsed into one array, in
+blocks of whole rows of at most 64 KiB of text tokenised as bytes in numpy, and
+each track holds row views of it. A token ``I.ddd`` (I is 0 or 1, 1 to 15
+decimals) is computed exactly in numpy; any other JSON number token goes
+through ``float``. Lines in any other layout, a line whose first frame holds
+longer values on average (full precision, which ``json`` reads as fast), and
+every line of a batch whose text fails a check are read by ``json.loads``, one
+at a time in file order. Which path ran never shows in the result: the tracks
+and every error are the same. ``Catalog.from_tracks`` then checks values once
+per array that the tracks' rows live in, and walks the tracks one at a time
+only when a check fails, so the first bad track is the one named.
 
 Catalogs are treated as immutable after construction: segmentation builds a
 new ``Catalog`` rather than mutating one in place.
@@ -107,13 +112,22 @@ class Catalog:
 
     @classmethod
     def from_tracks(cls, tracks: Iterable[Track]) -> "Catalog":
-        """Build a catalog from tracks, validating ids, dimensions, and value range."""
-        table: dict[str, Track] = {}
-        dimension: int | None = None
+        """Build a catalog from tracks, validating ids, dimensions, and value range.
+
+        The checks run whole first (``_checked_whole``). Only when one of them
+        fails are the tracks walked one at a time, so the error raised is the
+        first bad track's, as a walk alone would find it.
+        """
+        tracks = list(tracks)
+        table = {track.id: track for track in tracks}
+        dimension = _checked_whole(tracks) if len(table) == len(tracks) else None
+        if dimension is not None:
+            return cls(dimension=dimension, tracks=table)
+        table = {}
         for track in tracks:
             if track.id in table:
                 raise CatalogError(f"duplicate track id '{track.id}'")
-            if track.frames.ndim != 2 or track.frames.shape[0] < 1:
+            if track.frames.ndim != 2 or track.frames.size == 0:
                 raise CatalogError(f"track '{track.id}': frames must be a non-empty 2-D matrix")
             if dimension is None:
                 dimension = track.frames.shape[1]
@@ -131,6 +145,65 @@ class Catalog:
         if dimension is None:
             raise CatalogError("catalog has no tracks")
         return cls(dimension=dimension, tracks=table)
+
+
+def _checked_whole(tracks: list[Track]) -> int | None:
+    """The catalog dimension if every track passes ``from_tracks``' checks; else None.
+
+    Ids were counted by the caller, and shapes and dtypes are checked per
+    track. Values are checked once per distinct array that the tracks' rows
+    live in (``_holder``), and every section start against its track's frame
+    count in one concatenated pass. None only means that some check did not
+    pass whole.
+    """
+    if not tracks or not isinstance(tracks[0].frames, np.ndarray) or tracks[0].frames.ndim != 2:
+        return None
+    dimension = tracks[0].frames.shape[1]
+    holders: dict[int, np.ndarray] = {}
+    starts, frame_counts = [], []
+    for track in tracks:
+        frames, sections = track.frames, track.sections
+        if not (isinstance(frames, np.ndarray) and frames.dtype == np.float64
+                and frames.ndim == 2 and frames.size and frames.shape[1] == dimension):
+            return None
+        holder = _holder(frames)
+        holders[id(holder)] = holder
+        if track.starts is None and sections is None:
+            continue
+        if not (isinstance(track.starts, np.ndarray) and track.starts.dtype == np.int64
+                and track.starts.ndim == 1 and track.starts.size
+                and isinstance(sections, np.ndarray) and sections.dtype == np.float64
+                and sections.shape == (track.starts.size, dimension)):
+            return None
+        holder = _holder(sections)
+        holders[id(holder)] = holder
+        starts.append(track.starts)
+        frame_counts.append(frames.shape[0])
+    # min and max are NaN when any value is, so these also check finiteness.
+    if not all(values.min() >= 0.0 and values.max() <= 1.0 for values in holders.values()):
+        return None
+    if starts:
+        sizes = [vector.size for vector in starts]
+        flat = np.concatenate(starts)
+        rising = np.diff(flat) > 0
+        rising[np.cumsum(sizes)[:-1] - 1] = True  # a track's first start follows another track
+        if not (rising.all() and flat.min() >= 0 and (flat < np.repeat(frame_counts, sizes)).all()):
+            return None
+    return dimension
+
+
+def _holder(array: np.ndarray) -> np.ndarray:
+    """An array that holds every value of ``array``: its base, or itself.
+
+    A view's values are among its base's when both have the same dtype at
+    aligned addresses and the base is one contiguous block, as the reader's
+    batch arrays are.
+    """
+    base = array.base
+    if (isinstance(base, np.ndarray) and base.dtype == array.dtype and base.flags.c_contiguous
+            and base.flags.aligned and array.flags.aligned):
+        return base
+    return array
 
 
 def _validate_segments(track: Track, dimension: int) -> None:
@@ -166,8 +239,11 @@ def _is_int(value: object) -> bool:
 def load_catalog(path: str | Path) -> Catalog:
     """Read a JSON-lines catalog file, validating every record.
 
-    Raises ``CatalogError`` naming the offending line and track for malformed
-    JSON, dimension mismatches, out-of-range values, or duplicate ids.
+    Lines in the writer's layout are parsed in numpy in batches of about
+    ``_BATCH_TEXT`` characters, any other line by ``json`` (``_read_tracks``);
+    which path read a line never shows in the result. Raises ``CatalogError``
+    naming the offending line and track for malformed JSON, dimension
+    mismatches, out-of-range values, or duplicate ids.
     """
     path = Path(path)
     with path.open("r", encoding="utf-8") as handle:
@@ -183,19 +259,32 @@ def load_catalog(path: str | Path) -> Catalog:
 def _read_tracks(lines: Iterable[str]) -> list[Track]:
     """One track per non-blank line, in file order.
 
-    A line of at least one block (``_READ_BLOCK``) in the writer's layout is
-    read by ``_read_layout``. Every other line, and any line it gives up on, is
-    read by ``json`` (``_parse_line``), so every error is the one ``json`` and
+    Consecutive lines in the writer's layout (``_split_layout``) of one frame
+    width are gathered into batches of about ``_BATCH_TEXT`` characters and
+    read together by ``_read_batch``; a longer line is a batch of its own.
+    Every other line is read by ``json`` (``_parse_line``) after the pending
+    batch, and so is each line of a batch that does not parse, so the tracks
+    keep the file's order and every error is the one ``json`` and
     ``_parse_record`` raise.
     """
     tracks: list[Track] = []
+    batch: list[_Layout] = []
+    size = 0
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
-        track = _read_layout(line) if len(line) >= _READ_BLOCK else None
-        tracks.append(_parse_line(line, lineno) if track is None else track)
-    return tracks
+        layout = _split_layout(line, lineno)
+        if batch and (layout is None or layout.width != batch[0].width
+                      or size + len(line) > _BATCH_TEXT):
+            tracks += _read_batch(batch)
+            batch, size = [], 0
+        if layout is None:
+            tracks.append(_parse_line(line, lineno))
+        else:
+            batch.append(layout)
+            size += len(line)
+    return tracks + _read_batch(batch)
 
 
 def _parse_line(line: str, lineno: int) -> Track:
@@ -203,10 +292,23 @@ def _parse_line(line: str, lineno: int) -> Track:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
         raise CatalogError(f"line {lineno}: invalid JSON: {exc}") from None
-    return _parse_record(record, lineno)
+    return _parse_record(record, lineno, booleans="true" in line or "false" in line)
 
 
-def _parse_record(record: object, lineno: int) -> Track:
+def _holds_bool(values: list) -> bool:
+    """Whether JSON ``true`` or ``false`` is among the values or their rows' values."""
+    return any(value is True or value is False
+               or (isinstance(value, list) and any(v is True or v is False for v in value))
+               for value in values)
+
+
+def _parse_record(record: object, lineno: int, booleans: bool = True) -> Track:
+    """The track of one decoded line.
+
+    ``booleans`` says whether the line may hold JSON ``true`` or ``false``,
+    which numpy would read as numbers; only then are the number arrays scanned
+    for them.
+    """
     if not isinstance(record, dict):
         raise CatalogError(f"line {lineno}: record is not a JSON object")
     track_id = record.get("id")
@@ -216,6 +318,8 @@ def _parse_record(record: object, lineno: int) -> Track:
     raw_frames = record.get("frames")
     if not isinstance(raw_frames, list) or not raw_frames:
         raise CatalogError(f"{where}: missing or empty 'frames'")
+    if booleans and _holds_bool(raw_frames):
+        raise CatalogError(f"{where}: frame dimension mismatch or non-numeric value")
     try:
         frames = np.asarray(raw_frames, dtype=np.float64)
     except (TypeError, ValueError):
@@ -246,6 +350,8 @@ def _parse_record(record: object, lineno: int) -> Track:
         except OverflowError:
             raise CatalogError(f"{where}: segment start outside frame range") from None
         rows = [entry["features"] for entry in raw_segments]
+        if booleans and _holds_bool(rows):
+            raise CatalogError(f"{where}: non-numeric segment features")
         try:
             sections = np.asarray(rows, dtype=np.float64)
         except (TypeError, ValueError, OverflowError):
@@ -262,15 +368,18 @@ def _parse_record(record: object, lineno: int) -> Track:
 
 
 # Characters of row text per parsed block: one block's scratch arrays stay below
-# glibc's 128 KiB mmap threshold, as segmentation's blocks do. Lines shorter than
-# a block are left to json, which reads them faster than numpy's per-call costs allow.
+# glibc's 128 KiB mmap threshold, as segmentation's blocks do.
 _READ_BLOCK = 64 * 1024
+# Characters of line text per batch of layout lines: enough lines that numpy's
+# per-call costs are shared. Loads were as fast at 256 KiB, but a batch's text
+# and scratch then left more free heap between the arrays that tracks hold.
+_BATCH_TEXT = 128 * 1024
 _NUMBER = r"-?(?:0|[1-9][0-9]*)(\.[0-9]+)?([eE][-+]?[0-9]+)?"
 _JSON_NUMBER = re.compile(_NUMBER)
 _HEAD = re.compile(
     r'\{"id": "([^"\\\x00-\x1f]+)", "frame_hop": (' + _NUMBER + r'), "frames": \[\['
 )
-_SEGMENTS = ', "segments": [{"start": '
+_SEGMENTS = ']], "segments": [{"start": '  # the end of the frames, then the segments
 _NEXT_SEGMENT = ']}, {"start": '
 _FEATURES = ', "features": ['
 _STARTS = re.compile(r"(?:0|[1-9][0-9]{0,17})(?: (?:0|[1-9][0-9]{0,17}))*")  # fit int64
@@ -290,78 +399,143 @@ def _json_number(token: str) -> float | None:
         return None
 
 
-def _read_layout(line: str) -> Track | None:
-    """The track of a line in ``save_catalog``'s layout; None for any other line.
+class _Layout(NamedTuple):
+    """A line in the writer's layout, cut into the text of its parts."""
+
+    line: str
+    lineno: int
+    track_id: str
+    frame_hop: float
+    width: int  # values in the first frame row
+    frames: slice  # where the frame rows, joined by "], [", lie in the line
+    starts: str | None  # section starts joined by " "
+    sections: list[str] | None  # the text of each section's features
+
+
+def _split_layout(line: str, lineno: int) -> _Layout | None:
+    """The parts of a line in ``save_catalog``'s layout; None for any other line.
 
     The layout is ``{"id": ..., "frame_hop": ..., "frames": [[...]]}``, optionally
     with ``"segments": [{"start": ..., "features": [...]}, ...]`` before the
     closing brace, all with ``json.dumps`` separators and an id without escapes.
-    Its number arrays are read by ``_parse_array``.
+    A line whose first frame row averages more than 19 characters a value (full
+    precision, which ``json`` reads as fast) is not taken either. The number
+    text is only cut out here; ``_read_batch`` parses it.
     """
     head = _HEAD.match(line)
     if head is None:
         return None
     frame_hop = _json_number(head[2])
-    close = line.find("]]", head.end())
-    if frame_hop is None or not math.isfinite(frame_hop) or close <= head.end():
+    if frame_hop is None or not math.isfinite(frame_hop):
+        return None
+    # Where the frames end is only found here; text that is not number rows
+    # up to that point fails to parse later.
+    close = line.find(_SEGMENTS, head.end())
+    starts = sections = None
+    if close >= 0:
+        if not line.endswith("]}]}"):
+            return None
+        entries = line[close + len(_SEGMENTS) : -4].split(_NEXT_SEGMENT)
+        entries = [entry.partition(_FEATURES) for entry in entries]
+        starts = " ".join(start for start, _, _ in entries)
+        sections = [row for _, _, row in entries]
+        if _STARTS.fullmatch(starts) is None or starts.count(" ") != len(sections) - 1:
+            return None
+    elif line.endswith("]]}"):
+        close = len(line) - 3
+    else:
         return None
     first_row = line.find("], [", head.end(), close)
     first_row = close if first_row < 0 else first_row
     width = line.count(", ", head.end(), first_row) + 1
-    if first_row - head.end() + 2 > 19 * width:  # values longer than ``1.`` and 15 decimals:
-        return None  # json reads them as fast
-    frames = _parse_array(line, head.end(), close, width)
-    if frames is None:
+    if first_row - head.end() + 2 > 19 * width:  # values longer than ``1.`` and 15 decimals
         return None
-    starts = sections = None
-    if len(line) != close + 3:  # more than the closing "]]}"
-        if not (line.startswith(_SEGMENTS, close + 2) and line.endswith("]}]}")):
-            return None
-        entries = line[close + 2 + len(_SEGMENTS) : -4].split(_NEXT_SEGMENT)
-        entries = [entry.partition(_FEATURES) for entry in entries]
-        first_frames = " ".join(start for start, _, _ in entries)
-        rows = [row for _, _, row in entries]
-        if (_STARTS.fullmatch(first_frames) is None or first_frames.count(" ") != len(rows) - 1
-                or any("], [" in row for row in rows)):
-            return None
-        starts = np.array([int(start) for start in first_frames.split(" ")], dtype=np.int64)
-        text = "], [".join(rows)
-        sections = _parse_array(text, 0, len(text), width)
-        if sections is None:
-            return None
-    elif line[-1] != "}":
-        return None
-    return Track(id=head[1], frames=frames, frame_hop=frame_hop, starts=starts,
-                 sections=sections)
+    return _Layout(line, lineno, head[1], frame_hop, width, slice(head.end(), close), starts,
+                   sections)
 
 
-def _parse_array(text: str, start: int, end: int, width: int) -> np.ndarray | None:
-    """The ``(rows, width)`` values of the row text ``text[start:end]``; None if it does not parse.
+def _read_batch(batch: list[_Layout]) -> list[Track]:
+    """The tracks of consecutive layout lines of one width, their numbers parsed together.
 
-    The rows are counted from their ``"], ["`` separators and the array is
-    allocated only when the text is long enough to hold that many values (one
-    character each, two between them), so no text can claim more memory than
-    its own length suggests. It is then filled a block of whole rows at a time,
-    each block at most ``_READ_BLOCK`` characters unless one row is longer.
+    The frame rows of every line, then the section rows, are parsed into one
+    array, of which each track holds row views. If any of the text does not
+    parse, every line of the batch is read by ``json`` instead.
     """
-    rows = text.count("], [", start, end) + 1
-    if 3 * rows * width - 2 > end - start:
-        return None
-    array = np.empty((rows, width))
-    filled = 0
-    while True:
-        cut = end if end - start <= _READ_BLOCK else text.rfind("], [", start, start + _READ_BLOCK)
-        if cut <= start:  # one row longer than a block, or an empty row
-            cut = text.find("], [", start, end)
-            cut = end if cut < 0 else cut
-        block = _parse_rows(text[start:cut], width)
-        if block is None:
+    if not batch:
+        return []
+    counts = [layout.line.count("], [", layout.frames.start, layout.frames.stop) + 1
+              for layout in batch]
+    segmented = [layout for layout in batch if layout.starts is not None]
+    rows = [(row, slice(0, len(row))) for layout in segmented for row in layout.sections]
+    total = sum(counts)
+    values = _parse_arrays([[(layout.line, layout.frames) for layout in batch], rows],
+                           [total, len(rows)], batch[0].width)
+    if values is None:
+        return [_parse_line(layout.line, layout.lineno) for layout in batch]
+    frames, sections = values[:total], values[total:]
+    if segmented:
+        starts = np.array(" ".join(layout.starts for layout in segmented).split(" "),
+                          dtype=np.int64)
+    tracks = []
+    row = section = 0
+    for layout, count in zip(batch, counts):
+        track = Track(id=layout.track_id, frames=frames[row : row + count],
+                      frame_hop=layout.frame_hop)
+        row += count
+        if layout.sections is not None:
+            end = section + len(layout.sections)
+            track.starts, track.sections = starts[section:end], sections[section:end]
+            section = end
+        tracks.append(track)
+    return tracks
+
+
+def _parse_arrays(texts: list[list[tuple[str, slice]]], rows: list[int], width: int
+                  ) -> np.ndarray | None:
+    """The values of row texts as one ``(sum(rows), width)`` array, text after text.
+
+    Each text is given as pieces ``(text, span)``, whose ``text[span]`` are
+    joined by ``"], ["``, and must hold ``rows[i]`` rows; None when one holds
+    another number of rows or does not parse. The array is allocated only
+    when every text is long enough to hold its rows (one character a value,
+    two between values), so no text can claim more memory than its own length
+    suggests; and before any text is joined, so that it lies below the
+    parser's scratch on the heap. Each text is then parsed a block of whole
+    rows at a time, each block at most ``_READ_BLOCK`` characters unless one
+    row is longer.
+    """
+    for pieces, count in zip(texts, rows):
+        length = sum(span.stop - span.start for _, span in pieces) + 4 * len(pieces) - 4
+        if count and 3 * count * width - 2 > length:
             return None
-        array[filled : filled + len(block)] = block
-        filled += len(block)
-        if cut == end:
-            return array
-        start = cut + 4
+    array = np.empty((sum(rows), width))
+    filled = 0
+    for pieces, count in zip(texts, rows):
+        if not count:
+            continue
+        if len(pieces) == 1:  # one piece, as a long line's frames: parsed in place, not copied
+            text, span = pieces[0]
+        else:
+            text = "], [".join(piece[span] for piece, span in pieces)
+            span = slice(0, len(text))
+        start, end = span.start, span.stop
+        limit = filled + count
+        while True:
+            cut = end if end - start <= _READ_BLOCK else text.rfind("], [", start, start + _READ_BLOCK)
+            if cut <= start:  # one row longer than a block, or an empty row
+                cut = text.find("], [", start, end)
+                cut = end if cut < 0 else cut
+            block = _parse_rows(text[start:cut], width)
+            if block is None or filled + len(block) > limit:
+                return None
+            array[filled : filled + len(block)] = block
+            filled += len(block)
+            if cut == end:
+                break
+            start = cut + 4
+        if filled != limit:
+            return None
+    return array
 
 
 def _parse_rows(text: str, width: int) -> np.ndarray | None:
@@ -401,7 +575,7 @@ def _parse_rows(text: str, width: int) -> np.ndarray | None:
     decimal &= lengths >= 3
     separator_bytes = 2 * (commas.size + breaks.size)
     non_digit = (data - ord("0")) > 9
-    if n - np.count_nonzero(~non_digit) != separator_bytes + np.count_nonzero(decimal):
+    if np.count_nonzero(non_digit) != separator_bytes + np.count_nonzero(decimal):
         for at in (commas, commas + 1, commas[row_ends] - 1, commas[row_ends] + 2,
                    starts[decimal] + 1):
             non_digit[at] = False
@@ -411,15 +585,17 @@ def _parse_rows(text: str, width: int) -> np.ndarray | None:
     # Up to 8 decimals from the 8 bytes at the first decimal, the rest from the
     # next 8; bytes past the token are masked off before the digits are summed.
     # The bytes are gathered as raw 8-byte items: much faster than gathering
-    # unaligned integers, and the gathered copy is aligned.
-    decimals = np.clip(lengths - 2, 0, 15)
+    # unaligned integers, and the gathered copy is aligned. Tokens that are not
+    # exact get some value here, replaced below.
+    decimals = lengths - 2
     words = np.ndarray((n + 16,), dtype="V8", buffer=buffer, strides=(1,))
     low = _eight_digits((words[starts + 2].view("<u8") - _ZEROS) & _KEEP[np.minimum(decimals, 8)])
-    numerators = (first.astype(np.int64) - ord("0")) * 10**15 + low.astype(np.int64) * 10**7
+    numerators = low.view(np.int64) * 10**7
+    numerators += (first == ord("1")) * 10**15
     if (decimals[exact] > 8).any():
         high = words[starts + 10].view("<u8")
-        high = _eight_digits((high - _ZEROS) & _KEEP[np.maximum(decimals - 8, 0)])
-        numerators += (high // 10).astype(np.int64)
+        high = _eight_digits((high - _ZEROS) & _KEEP[np.clip(decimals - 8, 0, 8)])
+        numerators += (high // 10).view(np.int64)
     values = numerators / 1e15
     others = np.flatnonzero(~exact)
     if others.size:

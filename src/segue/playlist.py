@@ -275,6 +275,8 @@ def read_transition_csv(path) -> TransitionMatrix:
                 )
             labels.append(record[0])
             rows.append(np.array([float(v) for v in record[1:]]))
+    if not rows:
+        raise ValueError("transition matrix CSV has no rows")
     return TransitionMatrix(labels=labels, rows=np.stack(rows))
 
 

@@ -190,6 +190,39 @@ class TestLoadCatalog:
         with pytest.raises(CatalogError, match=r"line 1: track 'a': invalid 'frame_hop'"):
             load_catalog(path)
 
+    @pytest.mark.parametrize("line, message", [
+        ('{"id": "a", "frame_hop": 0.5, "frames": [[0.1, 0.2], [true, 0.3]]}',
+         "line 1: track 'a': frame dimension mismatch or non-numeric value"),
+        ('{"frames": [[false, 0.2]], "id": "a"}',
+         "line 1: track 'a': frame dimension mismatch or non-numeric value"),
+        ('{"id": "a", "frame_hop": 0.5, "frames": [[0.1, 0.2]], '
+         '"segments": [{"start": 0, "features": [0.1, false]}]}',
+         "line 1: track 'a': non-numeric segment features"),
+        ('{"id": "a", "frame_hop": 0.5, "frames": [[0.1, 0.2]], '
+         '"segments": [{"start": 0, "features": [0.1, 0.2]}, {"start": 1, "features": [true]}]}',
+         "line 1: track 'a': non-numeric segment features"),
+    ], ids=["frame", "frame, other key order", "feature", "ragged feature rows"])
+    def test_boolean_values_rejected(self, tmp_path, line, message):
+        path = tmp_path / "cat.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(CatalogError) as caught:
+            load_catalog(path)
+        assert str(caught.value) == message
+
+    def test_true_in_an_id_is_not_a_value(self, tmp_path):
+        path = tmp_path / "cat.jsonl"
+        path.write_text('{"frames": [[0.1, 0.2]], "id": "true or false"}\n', encoding="utf-8")
+        track = load_catalog(path).tracks["true or false"]
+        np.testing.assert_array_equal(track.frames, [[0.1, 0.2]])
+
+    def test_zero_dimension_rejected(self, tmp_path):
+        path = tmp_path / "cat.jsonl"
+        _write_jsonl(path, [{"id": "a", "frame_hop": 0.5, "frames": [[]]},
+                            {"id": "b", "frame_hop": 0.5, "frames": [[], []]}])
+        with pytest.raises(CatalogError) as caught:
+            load_catalog(path)
+        assert str(caught.value) == f"{path}: track 'a': frames must be a non-empty 2-D matrix"
+
 
 class TestSaveCatalog:
     def test_round_trip_is_fixed_point(self, tmp_path):
@@ -402,3 +435,77 @@ class TestTrackValidation:
     def test_track_value_above_one(self):
         with pytest.raises(CatalogError, match=r"\[0, 1\]"):
             Catalog.from_tracks([Track(id="a", frames=np.array([[1.2]]))])
+
+
+class TestWholeChecks:
+    """``from_tracks`` checks values whole, yet raises what a walk over the tracks raises."""
+
+    @staticmethod
+    def _tracks():
+        values = np.full((10, 2), 0.5)  # rows of several tracks, as the reader's batches hold them
+        return [
+            Track(id="a", frames=values[0:4], starts=np.array([0, 3]), sections=values[8:10]),
+            Track(id="b", frames=values[4:7], starts=np.array([1]), sections=values[7:8]),
+            Track(id="c", frames=np.full((2, 2), 0.25), starts=np.array([0, 1]),
+                  sections=np.full((2, 2), 0.75)),
+        ]
+
+    def test_valid_tracks_are_checked_whole(self, monkeypatch):
+        def walk(*args):
+            raise AssertionError("tracks walked one at a time")
+
+        monkeypatch.setattr(catalog_module, "_validate_segments", walk)
+        catalog = Catalog.from_tracks(self._tracks())
+        assert catalog.dimension == 2 and catalog.track_ids == ["a", "b", "c"]
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda t: t[1].frames.__setitem__((0, 1), np.nan), "track 'b': non-finite frame element"),
+        (lambda t: t[2].sections.__setitem__((1, 0), 1.5), "track 'c': segment element outside [0, 1]"),
+        (lambda t: t[0].sections.__setitem__((1, 1), -0.5), "track 'a': segment element outside [0, 1]"),
+        (lambda t: setattr(t[1], "starts", np.array([3])), "track 'b': segment start 3 outside frame range"),
+        (lambda t: setattr(t[2], "starts", np.array([-1, 1])),
+         "track 'c': segment start -1 outside frame range"),
+        (lambda t: setattr(t[0], "starts", np.array([2, 2])),
+         "track 'a': segment starts are not strictly increasing"),
+        (lambda t: setattr(t[2], "id", "a"), "duplicate track id 'a'"),
+        (lambda t: setattr(t[1], "frames", np.full((3, 3), 0.5)),
+         "track 'b': dimension 3 does not match catalog dimension 2"),
+        (lambda t: setattr(t[2], "starts", np.array([0, 1], dtype=np.uint8)), None),
+        (lambda t: setattr(t[2], "frames", np.full((2, 2), 0.25, dtype=np.float32)), None),
+    ], ids=["frame NaN", "section above 1", "section below 0", "start past the end",
+            "negative start", "repeated start", "duplicate id", "other dimension",
+            "uint8 starts", "float32 frames"])
+    def test_each_fault_is_named_as_a_walk_names_it(self, edit, message):
+        tracks = self._tracks()
+        edit(tracks)
+        if message is None:  # checked one at a time, and valid
+            assert Catalog.from_tracks(tracks).track_ids == ["a", "b", "c"]
+            return
+        with pytest.raises(CatalogError) as caught:
+            Catalog.from_tracks(tracks)
+        assert str(caught.value) == message
+
+    def test_first_bad_track_is_named(self):
+        tracks = self._tracks()
+        tracks[2].frames[0, 0] = np.inf
+        tracks[0].sections[0, 0] = 2.0
+        tracks.append(Track(id="a", frames=np.full((1, 2), 0.5)))
+        with pytest.raises(CatalogError) as caught:
+            Catalog.from_tracks(tracks)
+        assert str(caught.value) == "track 'a': segment element outside [0, 1]"
+
+    def test_bad_rows_outside_the_tracks_are_not_their_fault(self):
+        values = np.full((6, 2), 0.5)
+        values[5] = np.nan  # in the tracks' base array, but in none of their rows
+        catalog = Catalog.from_tracks([Track(id="a", frames=values[:2]),
+                                       Track(id="b", frames=values[2:4])])
+        assert catalog.track_ids == ["a", "b"]
+
+    def test_reinterpreted_views_are_checked_as_themselves(self):
+        base = np.full((2, 2), 0.1, dtype=">f8")  # in range, but byte-swapped in the view
+        with pytest.raises(CatalogError, match=r"^track 'a': frame element outside \[0, 1\]$"):
+            Catalog.from_tracks([Track(id="a", frames=base.view("<f8"))])
+
+    def test_zero_dimension_names_the_track(self):
+        with pytest.raises(CatalogError, match="^track 'z': frames must be a non-empty 2-D matrix$"):
+            Catalog.from_tracks([Track(id="z", frames=np.zeros((3, 0)))])

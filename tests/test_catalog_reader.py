@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -35,10 +36,22 @@ HOSTILE = {
         ['{"id": "a", "frame_hop": 0.5, %s, "segments": [{"start": 0, "features": [0.25, 1.5]}]}'
          % _FRAMES],
         "{path}: track 'a': segment element outside [0, 1]"),
-    "true is read as 1": (
+    "true in a frame": (
         ['{"id": "a", "frame_hop": 0.5, "frames": [[true, 0.5]]}',
          '{"id": "b", "frame_hop": 0.5, "frames": [[0.5, 0.5, 0.5]]}'],
-        "{path}: track 'b': dimension 3 does not match catalog dimension 2"),
+        "line 1: track 'a': frame dimension mismatch or non-numeric value"),
+    "false in a section": (
+        ['{"id": "a", "frame_hop": 0.5, %s, "segments": [{"start": 0, "features": [0.25, false]}]}'
+         % _FRAMES],
+        "line 1: track 'a': non-numeric segment features"),
+    "rows in one features text": (
+        ['{"id": "a", "frame_hop": 0.5, "frames": [[0.25], [0.5]], '
+         '"segments": [{"start": 0, "features": [0.25], [0.5]}]}'],
+        "line 1: invalid JSON: Expecting property name enclosed in double quotes: "
+        "line 1 column 104 (char 103)"),
+    "no values in a frame": (
+        ['{"id": "a", "frame_hop": 0.5, "frames": [[]]}'],
+        "{path}: track 'a': frames must be a non-empty 2-D matrix"),
     "true start": (
         ['{"id": "a", "frame_hop": 0.5, %s, "segments": [{"start": true, "features": [0.25, 0.5]}]}'
          % _FRAMES],
@@ -154,8 +167,8 @@ HOSTILE = {
 def test_hostile_lines_raise_the_same_error(monkeypatch, tmp_path, block, lines, message):
     """Each line raises its error with little memory, whichever path reads it.
 
-    With 16-character blocks every line is long enough for the numpy reader;
-    with the default, only the long ones are.
+    With 16-character blocks the numpy reader parses a few values at a time;
+    with the default, a batch's rows at once.
     """
     if block is not None:
         monkeypatch.setattr(catalog_module, "_READ_BLOCK", block, raising=False)
@@ -170,6 +183,43 @@ def test_hostile_lines_raise_the_same_error(monkeypatch, tmp_path, block, lines,
         tracemalloc.stop()
     assert str(caught.value) == message.format(path=path)
     assert peak < 16_000_000
+
+
+_FILLER = '{"id": "fill%d", "frame_hop": 0.5, "frames": [[%s], [%s]]}'
+
+
+def _fillers(count: int, start: int, width: int) -> list[str]:
+    """Good layout lines whose frames have the given width."""
+    return [_FILLER % (start + i, ", ".join(["0.25"] * width), ", ".join(["0.5"] * width))
+            for i in range(count)]
+
+
+_PLACEMENTS = {  # good lines before and after the hostile ones, and the batch budget
+    "first": (0, 6, None),
+    "in the middle": (3, 3, None),
+    "last": (6, 0, None),
+    "across a batch boundary": (3, 3, 2 * len(_fillers(1, 0, 2)[0])),
+}
+
+
+@pytest.mark.parametrize("placement", list(_PLACEMENTS))
+@pytest.mark.parametrize("lines, message", list(HOSTILE.values()), ids=list(HOSTILE))
+def test_hostile_lines_keep_their_error_among_good_lines(monkeypatch, tmp_path, placement,
+                                                         lines, message):
+    """Batched with good lines, or cut off from them by a batch boundary, each
+    line raises its error; only its line number moves."""
+    before, after, budget = _PLACEMENTS[placement]
+    if budget is not None:  # about two lines a batch
+        monkeypatch.setattr(catalog_module, "_BATCH_TEXT", budget)
+    width = re.search(r'"frames": \[\[([^\]]*)', lines[0])
+    width = 2 if width is None else width[1].count(",") + 1
+    path = tmp_path / "cat.jsonl"
+    path.write_text("\n".join(_fillers(before, 0, width) + lines + _fillers(after, before, width))
+                    + "\n", encoding="utf-8")
+    with pytest.raises(CatalogError) as caught:
+        load_catalog(path)
+    expected = re.sub(r"^line (\d+):", lambda m: f"line {int(m[1]) + before}:", message)
+    assert str(caught.value) == expected.format(path=path)
 
 
 def _oracle(lines):
@@ -262,8 +312,9 @@ def _random_line(rng, index: int, width: int) -> tuple[str, bool]:
 class TestFastPath:
     """Lines in the writer's layout are read by numpy, with json's exact result.
 
-    Most tests shrink the block (``_READ_BLOCK``) so that short lines are long
-    enough for the numpy reader and are read a few rows at a time.
+    Most tests shrink the block (``_READ_BLOCK``) so that a batch's rows are
+    read a few at a time, and some the batch (``_BATCH_TEXT``) so that a few
+    lines are read together.
     """
 
     @pytest.fixture
@@ -281,15 +332,14 @@ class TestFastPath:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_generated_lines_match_json(self, monkeypatch, json_reads, seed):
-        block = [64, 256, 4096, 1024][seed]
-        monkeypatch.setattr(catalog_module, "_READ_BLOCK", block)
+        monkeypatch.setattr(catalog_module, "_READ_BLOCK", [64, 256, 4096, 1024][seed])
+        monkeypatch.setattr(catalog_module, "_BATCH_TEXT", [1, 2048, 64 * 1024, 16 * 1024][seed])
         rng = random.Random(seed)
         width = [1, 3, 50, 7][seed]
         generated = [_random_line(rng, index, width) for index in range(150)]
         lines = [line for line, _ in generated]
         _assert_same_tracks(catalog_module._read_tracks(lines), _oracle(lines))
-        assert json_reads == [n for n, (line, long) in enumerate(generated, start=1)
-                              if long or len(line) < block]
+        assert json_reads == [n for n, (_, long) in enumerate(generated, start=1) if long]
         assert len(json_reads) < len(lines) // 2
 
     @pytest.mark.parametrize("places", range(1, 18))
@@ -345,16 +395,37 @@ class TestFastPath:
         _assert_same_tracks(list(load_catalog(path)), _oracle(lines))
         assert json_reads == []
 
-    def test_only_lines_of_a_block_or_more_are_read_without_json(self, json_reads):
+    def test_layout_lines_are_read_without_json_at_any_length(self, json_reads):
         rng = np.random.default_rng(5)
         long_rows = "], [".join(", ".join(f"{v:.6f}" for v in row)
                                 for row in rng.uniform(0.0, 1.0, (800, 20)))
         lines = ['{"id": "long%d", "frame_hop": 0.5, "frames": [[%s]]}' % (i, long_rows)
                  for i in range(2)]
-        lines.insert(1, _GOOD % 1)
-        assert len(lines[0]) >= catalog_module._READ_BLOCK > len(lines[1])
+        lines[1:1] = [_GOOD % 1, '{"id": "full", "frame_hop": 0.5, "frames": [[%s]]}'
+                      % ", ".join(repr(v) for v in rng.uniform(0.0, 1.0, 20).tolist()),
+                      '{"frames": [[0.25, 0.5]], "id": "other order"}', _GOOD % 2]
+        assert len(lines[0]) > catalog_module._BATCH_TEXT > len(lines[1])
         _assert_same_tracks(catalog_module._read_tracks(lines), _oracle(lines))
-        assert json_reads == [2]
+        assert json_reads == [3, 4]
+
+    @pytest.mark.parametrize("budget", [1, 300, None], ids=["one line", "a few lines", "default"])
+    def test_json_lines_between_batches_keep_their_place(self, monkeypatch, json_reads, budget):
+        if budget is not None:
+            monkeypatch.setattr(catalog_module, "_BATCH_TEXT", budget)
+        rng = random.Random(8)
+        lines, by_json = [], []
+        for index in range(60):
+            kind = rng.randrange(4)
+            if kind == 0:  # off the layout
+                line, long = '{"frames": [[%s]], "id": "t%d"}' % (
+                    _rows_text(rng, 1, 3, _short), index), True
+            else:  # in the layout; full precision if long
+                line, long = _random_line(rng, index, 3)
+            lines.append(line)
+            if long:
+                by_json.append(index + 1)
+        _assert_same_tracks(catalog_module._read_tracks(lines), _oracle(lines))
+        assert json_reads == by_json
 
 
 _HUGE = "1" + "0" * 400  # an integer JSON reads exactly, beyond float range
@@ -402,3 +473,26 @@ def test_reader_scratch_is_bounded(tmp_path):
         tracemalloc.stop()
     np.testing.assert_array_equal(catalog.tracks["big"].frames, frames)
     assert peak - frames.nbytes - reading < 4_000_000
+
+
+def test_short_lines_scratch_is_bounded(tmp_path):
+    """Loading 2,000 short lines holds little beyond the loaded catalog at any time.
+
+    Lines are read a batch at a time, so the scratch is a batch's text and its
+    parse, not the file's.
+    """
+    rng = np.random.default_rng(1)
+    tracks = [Track(id=f"t{index:04d}", frames=np.round(rng.uniform(0.0, 1.0, (9, 16)), 6),
+                    starts=np.arange(9), sections=np.round(rng.uniform(0.0, 1.0, (9, 16)), 6))
+              for index in range(2_000)]
+    path = tmp_path / "short.jsonl"
+    save_catalog(Catalog.from_tracks(tracks), path)
+    del tracks
+    tracemalloc.start()
+    try:
+        catalog = load_catalog(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(catalog) == 2_000 and path.stat().st_size > 5_000_000
+    assert peak - held < 1_048_576

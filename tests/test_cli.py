@@ -247,6 +247,16 @@ class TestExitCodes:
         assert code == 2
         assert "line 1: track 'a': frame value beyond float range" in capsys.readouterr().err
 
+    def test_zero_dimension_catalog_is_data_error(self, tmp_path, capsys):
+        catalog = tmp_path / "empty-rows.jsonl"
+        catalog.write_text('{"id": "a", "frame_hop": 0.5, "frames": [[]]}\n'
+                           '{"id": "b", "frame_hop": 0.5, "frames": [[]]}\n')
+        out = tmp_path / "o.jsonl"
+        code = run(["segment", "-i", str(catalog), "-o", str(out)])
+        assert code == 2
+        assert "track 'a': frames must be a non-empty 2-D matrix" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_divergence_maps_to_exit_three(self, pipeline, tmp_path, monkeypatch, capsys):
         def explode(*args, **kwargs):
             raise TrainingDivergedError("non-finite loss", epoch=2)

@@ -258,6 +258,12 @@ class TestExportTransitionMatrix:
         with pytest.raises(ValueError, match="^not a transition matrix CSV$"):
             read_transition_csv(path)
 
+    def test_header_only_csv_rejected(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("label,dim_0\n")
+        with pytest.raises(ValueError, match="^transition matrix CSV has no rows$"):
+            read_transition_csv(path)
+
     def test_short_csv_row_names_its_line(self, tmp_path):
         path = tmp_path / "short.csv"
         path.write_text("label,dim_0,dim_1,dim_2\nseg:a:0,0.1,0.2,0.3\npred:0,0.1,0.2\n")

@@ -12,10 +12,13 @@ segmented track holds them as two arrays, ``starts`` (S,) and ``sections``
 (S, D), validated whole; ``Track.segments`` is a read-only row view of them.
 
 ``save_catalog`` writes each record as exactly the text ``json.dumps`` gives
-for it, streamed to the file. Number arrays whose values are short decimals
-(+0.0, or in [1e-4, 1] with at most 15 decimals, as tag probabilities are) are
-formatted in numpy a block of rows at a time; every other array goes through
-``json.dumps``. Which path ran never shows in the file.
+for it, streamed to the file as bytes (the text is ASCII: ``json.dumps``
+escapes ids), and the file replaces the target only once it is complete.
+Number arrays of short decimals (+0.0, or in [1e-4, 1] with at most 8
+decimals, as tag probabilities are) are formatted in numpy a block of rows at
+a time from tables of digit words; values below 1e-4 and -0.0 among them are
+written by ``repr``. Every other array goes through ``json.dumps``. Which path
+ran never shows in the file.
 
 ``load_catalog`` reads lines in the writer's layout (the keys above in that
 order, ``json.dumps`` separators, an id without escapes) without ``json``,
@@ -24,14 +27,15 @@ about ``_BATCH_TEXT`` (128 KiB) of text, a longer line being a batch of its own.
 A batch's frame rows, then its section rows, are parsed into one array, in
 blocks of whole rows of at most 64 KiB of text tokenised as bytes in numpy, and
 each track holds row views of it. A token ``I.ddd`` (I is 0 or 1, 1 to 15
-decimals) is computed exactly in numpy; any other JSON number token goes
-through ``float``. Lines in any other layout, a line whose first frame holds
-longer values on average (full precision, which ``json`` reads as fast), and
-every line of a batch whose text fails a check are read by ``json.loads``, one
-at a time in file order. Which path ran never shows in the result: the tracks
-and every error are the same. ``Catalog.from_tracks`` then checks values once
-per array that the tracks' rows live in, and walks the tracks one at a time
-only when a check fails, so the first bad track is the one named.
+decimals) is computed exactly in numpy; a block's other tokens are checked
+against the JSON number grammar together and converted by ``float``. Lines in
+any other layout, a line whose first frame holds longer values on average
+(full precision, which ``json`` reads as fast), and every line of a batch
+whose text fails a check are read by ``json.loads``, one at a time in file
+order. Which path ran never shows in the result: the tracks and every error
+are the same. ``Catalog.from_tracks`` then checks values once per array that
+the tracks' rows live in, and walks the tracks one at a time only when a check
+fails, so the first bad track is the one named.
 
 Catalogs are treated as immutable after construction: segmentation builds a
 new ``Catalog`` rather than mutating one in place.
@@ -44,9 +48,11 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, TextIO
+from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 import numpy as np
+
+from .files import atomic_output
 
 
 class CatalogError(ValueError):
@@ -376,6 +382,7 @@ _READ_BLOCK = 64 * 1024
 _BATCH_TEXT = 128 * 1024
 _NUMBER = r"-?(?:0|[1-9][0-9]*)(\.[0-9]+)?([eE][-+]?[0-9]+)?"
 _JSON_NUMBER = re.compile(_NUMBER)
+_JSON_NUMBERS = re.compile(f"{_NUMBER}(?:,{_NUMBER})*")  # tokens (never holding ",") joined by ","
 _HEAD = re.compile(
     r'\{"id": "([^"\\\x00-\x1f]+)", "frame_hop": (' + _NUMBER + r'), "frames": \[\['
 )
@@ -545,7 +552,8 @@ def _parse_rows(text: str, width: int) -> np.ndarray | None:
     between rows; any other text gives None. A token ``I.ddd`` (I is 0 or 1,
     1 to 15 decimals) is read as the integer ``Iddd`` scaled to 15 decimals,
     divided by 1e15: both are exact doubles and division rounds correctly, so
-    the value is ``float(token)``. Any other token goes through ``_json_number``.
+    the value is ``float(token)``. The other tokens are checked against the
+    JSON number grammar in one match and read by ``float``.
     """
     raw = text.encode()
     n = len(raw)
@@ -599,10 +607,20 @@ def _parse_rows(text: str, width: int) -> np.ndarray | None:
     values = numerators / 1e15
     others = np.flatnonzero(~exact)
     if others.size:
-        parsed = [_json_number(text[lo:hi])
-                  for lo, hi in zip(starts[others].tolist(), ends[others].tolist())]
-        if None in parsed:
+        tokens = [text[lo:hi] for lo, hi in zip(starts[others].tolist(), ends[others].tolist())]
+        # Decimal tokens are JSON numbers already; the rest are checked together.
+        checked = [tokens[at] for at in np.flatnonzero(~decimal[others]).tolist()]
+        if checked and _JSON_NUMBERS.fullmatch(",".join(checked)) is None:
             return None
+        parsed = np.array(list(map(float, tokens)))
+        # ``float`` reads every JSON number as ``json.loads`` does, but for the
+        # integers "-0" (+0.0 in json) and those beyond float range (an error
+        # in json), which it reads as -0.0 and inf: such tokens are re-read.
+        for at in np.flatnonzero(np.isinf(parsed) | ((parsed == 0.0) & np.signbit(parsed))):
+            value = _json_number(tokens[at])
+            if value is None:
+                return None
+            parsed[at] = value
         values[others] = parsed
     return values.reshape(shape)
 
@@ -619,109 +637,129 @@ def save_catalog(catalog: Catalog, path: str | Path) -> None:
 
     The tracks are validated as ``load_catalog`` validates them before the file
     is opened, so a catalog that would not load raises ``CatalogError`` naming
-    the track and nothing is written.
+    the track and nothing is written. The file replaces ``path`` only once it
+    is complete (``atomic_output``). It is written as bytes: ``json.dumps``
+    escapes every non-ASCII character, so the text is ASCII.
     """
     Catalog.from_tracks(catalog)
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as handle:
+    with atomic_output(path) as handle:
         for track in catalog:
             handle.write(
                 f'{{"id": {json.dumps(track.id)}, "frame_hop": {json.dumps(track.frame_hop)}, '
-                '"frames": '
+                '"frames": '.encode()
             )
             _write_numbers(handle, track.frames)
             if track.is_segmented:
-                handle.write(', "segments": [')
+                handle.write(b', "segments": [')
                 for index, start in enumerate(track.starts.tolist()):
-                    handle.write(f'{", " if index else ""}{{"start": {start}, "features": ')
+                    handle.write(f'{", " if index else ""}{{"start": {start}, "features": '.encode())
                     _write_numbers(handle, track.sections[index])
-                    handle.write("}")
-                handle.write("]")
-            handle.write("}\n")
+                    handle.write(b"}")
+                handle.write(b"]")
+            handle.write(b"}\n")
 
 
 # Values per formatted block: bounds the formatter's scratch arrays.
 _BLOCK_VALUES = 4096
-_ROW_END = np.frombuffer(b"], [", dtype=np.uint8)
 
 
-def _write_numbers(handle: TextIO, values: np.ndarray) -> None:
-    """Write exactly ``json.dumps(values.tolist())``, formatting row blocks in numpy.
+def _word(text: str) -> int:
+    """The little-endian integer whose bytes are ``text``, NUL-padded to 8 bytes."""
+    return int.from_bytes(text.encode().ljust(8, b"\0"), "little")
+
+
+def _digit_words(trimmed: bool) -> np.ndarray:
+    """The 4-digit ASCII text of 0 to 9,999 as words; trailing zeros NUL if ``trimmed``."""
+    digits = (np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10).astype(np.uint8)
+    text = digits + np.uint8(ord("0"))
+    if trimmed:  # a digit is a trailing zero when it and every later digit are 0
+        text[np.cumsum(digits[:, ::-1], axis=1)[:, ::-1] == 0] = 0
+    return text.view("<u4").ravel().astype(np.uint64)
+
+
+_DIGITS = _digit_words(trimmed=False)
+_TRIMMED = _digit_words(trimmed=True)  # 0 is all NUL
+# A value's first word, at h = its first four decimals (10,000 for 1.0): "0."
+# or "1.", then those decimals. Entry h holds all four (more follow); entry
+# 10,001 + h has trailing zeros dropped, keeping one decimal as repr does.
+_HEADS = np.concatenate((_DIGITS, _DIGITS[:1], _TRIMMED, _TRIMMED[:1])) << np.uint64(16)
+_HEADS |= np.uint64(_word("0."))
+_HEADS[[10_000, 10_001, 20_001]] = _word("1.0000"), _word("0.0"), _word("1.0")
+# A value's second word: its last four decimals, trailing zeros dropped, then
+# ", " (the separator is changed to "], [" at a row end and cut at the end).
+_TAILS = _TRIMMED | np.uint64(_word("\0\0\0\0, "))
+_ROW_END = np.uint64(_word("\0\0\0\0, ") ^ _word("\0\0\0\0], ["))
+_DIGITS_ONLY = np.uint64(0xFFFFFFFF)
+_SLOT = np.uint64(_word("%b"))  # where a value written by repr goes
+
+
+def _write_numbers(handle: BinaryIO, values: np.ndarray) -> None:
+    """Write exactly ``json.dumps(values.tolist())`` as bytes, formatting row blocks in numpy.
 
     Only float64 vectors and matrices take the numpy path (``_format_block``);
     every other array is written by ``json.dumps`` itself.
     """
     if values.dtype != np.float64 or values.ndim not in (1, 2) or values.size == 0:
-        handle.write(json.dumps(values.tolist()))
+        handle.write(json.dumps(values.tolist()).encode())
         return
     rows = values.reshape(1, -1) if values.ndim == 1 else values
-    opening, closing = ("[", "]") if values.ndim == 1 else ("[[", "]]")
+    opening, closing = (b"[", b"]") if values.ndim == 1 else (b"[[", b"]]")
     step = max(1, _BLOCK_VALUES // rows.shape[1])
     handle.write(opening)
     for lo in range(0, rows.shape[0], step):
         if lo:
-            handle.write("], [")
+            handle.write(b"], [")
         handle.write(_format_block(rows[lo : lo + step]))
     handle.write(closing)
 
 
-def _has_decimals(x: np.ndarray, places: int) -> bool:
-    """Whether every value is the double nearest to some integer / 10**places.
+def _decimal_numerators(x: np.ndarray, places: int) -> np.ndarray | None:
+    """The integers n with each value the double nearest to n / 10**places; else None.
 
-    For places <= 15 both the integer and 10**places are exact doubles, and
-    division is correctly rounded, so equality means that decimal text parses
-    back to the value.
+    For places <= 15 both n and 10**places are exact doubles, and division is
+    correctly rounded, so when the check holds that decimal text parses back
+    to the value. The integers are returned as float64.
     """
     scale = 10.0**places
-    return bool((np.rint(x * scale) / scale == x).all())
+    scaled = np.rint(x * scale)
+    return scaled if (scaled / scale == x).all() else None
 
 
-def _format_block(block: np.ndarray) -> str:
-    """``json.dumps(block.tolist())`` without its outer ``[[`` and ``]]``.
+def _format_block(block: np.ndarray) -> bytes:
+    """``json.dumps(block.tolist())`` as bytes, without its outer ``[[`` and ``]]``.
 
-    When every value is +0.0 or lies in [1e-4, 1] with at most 15 decimals,
-    ``repr`` writes it in fixed notation with its fewest decimals. The block's
-    digits are then built as a uint8 matrix of one row per value (integer
-    digit, point, decimals, separator) and the padding is dropped with one
-    boolean mask. Any other block goes through ``json.dumps``.
+    ``repr`` writes +0.0 and every value in [1e-4, 1] in fixed notation with
+    its fewest decimals. When such values have at most 8 decimals, each is
+    built as two 8-byte words from the digit tables: ``0.`` or ``1.`` and the
+    first four decimals, then the last four and the separator, with NUL for
+    each dropped trailing zero; one ``translate`` then deletes the NULs.
+    Values below 1e-4 in magnitude, which ``repr`` writes in exponent form,
+    and -0.0 are written by ``repr`` and spliced in at their places. A block
+    holding any other value goes through ``json.dumps``.
     """
-    x = block.ravel()
-    in_range = ((x >= 1e-4) & (x <= 1.0)) | ((x == 0.0) & ~np.signbit(x))
-    if not (in_range.all() and _has_decimals(x, 15)):
-        return json.dumps(block.tolist())[2:-2]
-    # Fewest decimals that hold every value, by bisection (d decimals imply d + 1);
-    # per value, the fewest decimals are repr's shortest digits.
-    lo, hi = 0, 15
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _has_decimals(x, mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    places = max(lo, 1)  # repr keeps one decimal: "0.0", "1.0"
-    scaled = np.rint(x * 10.0**places).astype(np.int32 if places <= 9 else np.int64)
-    sep = places + 2  # first separator column
-    text = np.empty((x.size, sep + 4), dtype=np.uint8)
-    keep = np.zeros(text.shape, dtype=bool)
-    nonzero_after = np.zeros(x.size, dtype=bool)
-    for col in range(sep - 1, 1, -1):  # decimals, last first
-        quotient = scaled // 10
-        digit = scaled - quotient * 10
-        scaled = quotient
-        text[:, col] = digit + ord("0")
-        nonzero_after |= digit != 0
-        keep[:, col] = nonzero_after  # trailing zeros are dropped
-    text[:, 0] = scaled + ord("0")  # the integer digit, 0 or 1
-    text[:, 1] = ord(".")
-    text[:, sep] = ord(",")
-    text[:, sep + 1] = ord(" ")
-    for col in (0, 1, 2, sep, sep + 1):
-        keep[:, col] = True
-    width = block.shape[1]
-    text[width - 1 :: width, sep:] = _ROW_END
-    keep[width - 1 :: width, sep:] = True
-    keep[-1, sep:] = False
-    return text[keep].tobytes().decode("ascii")
+    values = block.ravel()
+    # +0.0 is the one value below 1e-4 in magnitude whose bits are all zero.
+    odd = np.flatnonzero((np.abs(values) < 1e-4) & (values.view(np.int64) != 0))
+    x = values
+    if odd.size:
+        x = values.copy()
+        x[odd] = 0.0
+    scaled = _decimal_numerators(x, 8)
+    if scaled is None or not (scaled.min() >= 0.0 and scaled.max() <= 1e8):
+        return json.dumps(block.tolist())[2:-2].encode()
+    numerators = scaled.astype(np.intp)
+    high = numerators // 10_000
+    low = numerators - 10_000 * high
+    words = np.empty((x.size, 2), dtype="<u8")
+    words[:, 0] = _HEADS[high + 10_001 * (low == 0)]
+    words[:, 1] = _TAILS[low]
+    words[block.shape[1] - 1 :: block.shape[1], 1] ^= _ROW_END
+    words[-1, 1] &= _DIGITS_ONLY
+    words[odd, 0] = _SLOT  # a zero's last four decimals are NUL already
+    text = words.tobytes().translate(None, b"\0")
+    if not odd.size:
+        return text
+    return text % tuple(repr(value).encode() for value in values[odd].tolist())
 
 
 class TrainingPair(NamedTuple):

@@ -28,6 +28,8 @@ from typing import Iterator
 
 import numpy as np
 
+from .files import atomic_output
+
 MAGIC = b"SGM1"
 _HEADER_BYTES = 4 + 16
 
@@ -165,10 +167,12 @@ def _block_shapes(num_layers: int, hidden: int, dim: int) -> Iterator[tuple[str,
 
 
 def save_model(model: SequenceModel, path: str | Path) -> None:
-    """Write a model to the binary format; round-trips losslessly through ``load_model``."""
+    """Write a model to the binary format; round-trips losslessly through ``load_model``.
+
+    The file replaces ``path`` only once it is complete (``atomic_output``).
+    """
     model.validate()
-    path = Path(path)
-    with path.open("wb") as handle:
+    with atomic_output(path) as handle:
         header = (model.num_layers, model.hidden_size, model.dimension, model.context_length or 0)
         handle.write(MAGIC + struct.pack("<4I", *header))
         for block in model.blocks():

@@ -278,9 +278,9 @@ class TestSaveCatalog:
 
 
 def _written(values: np.ndarray) -> str:
-    handle = io.StringIO()
+    handle = io.BytesIO()
     catalog_module._write_numbers(handle, values)
-    return handle.getvalue()
+    return handle.getvalue().decode("ascii")
 
 
 class TestNumberWriter:
@@ -341,6 +341,83 @@ class TestNumberWriter:
 
         monkeypatch.setattr(catalog_module, "json", NoJson)
         assert _written(values) == expected
+
+    def test_exponent_form_and_negative_zero_are_formatted_without_json(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        values = np.round(rng.uniform(0.0, 1.0, (300, 50)), 6)
+        odd = rng.random(values.shape) < 0.01
+        values[odd] = rng.choice([5e-05, 1e-05, 9.99999e-05, 1.2345e-08, 5e-324, -0.0], odd.sum())
+        expected = json.dumps(values.tolist())
+        assert "e-" in expected and "-0.0" in expected
+
+        class NoJson:
+            @staticmethod
+            def dumps(obj):
+                raise AssertionError("a value below 1e-4 or -0.0 reached json.dumps")
+
+        monkeypatch.setattr(catalog_module, "json", NoJson)
+        assert _written(values) == expected
+
+    @pytest.mark.parametrize("width", [1, 3, 50, 4096])
+    @pytest.mark.parametrize("odd", [5e-05, -0.0, 1.5e-07, -2e-05])
+    def test_spliced_values_at_block_and_row_edges(self, width, odd):
+        rows = max(2, 2 * self.BLOCK // width)
+        values = np.round(np.random.default_rng(width).uniform(0.0, 1.0, (rows, width)), 5)
+        per_block = max(1, self.BLOCK // width)
+        for row, column in [(0, 0), (per_block - 1, width - 1), (per_block, 0),
+                            (rows - 1, width - 1), (1, width - 1), (rows // 2, width // 2)]:
+            edited = values.copy()
+            edited[row, column] = odd
+            assert _written(edited) == json.dumps(edited.tolist()), (row, column)
+        edited = values.copy()
+        edited[:, -1] = odd  # every row end
+        assert _written(edited) == json.dumps(edited.tolist())
+        edited[:] = odd  # nothing but spliced values
+        assert _written(edited) == json.dumps(edited.tolist())
+
+    def test_digit_tables(self):
+        for n in range(10_000):
+            for table, text in ((catalog_module._DIGITS, f"{n:04d}"),
+                                (catalog_module._TRIMMED, f"{n:04d}".rstrip("0"))):
+                word = int(table[n]).to_bytes(8, "little")
+                assert word == text.encode().ljust(8, b"\0"), (n, word)
+
+
+class TestAtomicSave:
+    """A catalog replaces the file it is saved over only once it is written whole."""
+
+    def test_failed_write_leaves_the_old_file(self, monkeypatch, tmp_path):
+        path = tmp_path / "cat.jsonl"
+        old = segmented_catalog({"a": np.array([[0.5, 0.25]])})
+        save_catalog(old, path)
+        before = path.read_bytes()
+        write_numbers = catalog_module._write_numbers
+        calls = []
+
+        def fail_after_first_track(handle, values):
+            calls.append(values)
+            if len(calls) > 2:  # the first track's frames and its one section
+                raise RuntimeError("cut")
+            write_numbers(handle, values)
+
+        monkeypatch.setattr(catalog_module, "_write_numbers", fail_after_first_track)
+        new = segmented_catalog({"b": np.array([[0.1, 0.2]]), "c": np.array([[0.3, 0.4]])})
+        with pytest.raises(RuntimeError, match="cut"):
+            save_catalog(new, path)
+        assert len(calls) == 3
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cat.jsonl"]
+
+    def test_symlinked_target_is_replaced_through_the_link(self, tmp_path):
+        real = tmp_path / "real.jsonl"
+        link = tmp_path / "link.jsonl"
+        save_catalog(segmented_catalog({"a": np.array([[0.5]])}), real)
+        link.symlink_to(real)
+        catalog = segmented_catalog({"b": np.array([[0.25]])})
+        save_catalog(catalog, link)
+        assert link.is_symlink() and link.resolve() == real
+        assert _catalogs_equal(load_catalog(real), catalog)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.jsonl", "real.jsonl"]
 
 
 class TestBuildTrainingSequences:

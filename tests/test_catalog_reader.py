@@ -369,6 +369,39 @@ class TestFastPath:
         _assert_same_tracks(catalog_module._read_tracks(lines), _oracle(lines))
         assert json_reads == []
 
+    @pytest.mark.parametrize("share", [0.05, 0.5, 1.0])
+    def test_odd_tokens_among_short_decimals(self, monkeypatch, json_reads, share):
+        # Tokens other than I.ddd with at most 15 decimals, a few in a block or
+        # all of it (section rows), are read together exactly as json reads them.
+        monkeypatch.setattr(catalog_module, "_READ_BLOCK", 2048)
+        rng = random.Random(int(share * 100))
+        odd = _EDGE_TOKENS + ["1e400", "-1E+400", "-0", "-0.0", "0.00000000000000000001"]
+
+        def token(rng):
+            if rng.random() >= share:
+                return _short(rng)
+            return rng.choice(odd) if rng.random() < 0.5 else _full_precision(rng)
+
+        lines = []
+        for index in range(8):
+            frames = _rows_text(rng, 1, 7, _short) + "], [" + _rows_text(rng, 40, 7, token)
+            entries = ", ".join(f'{{"start": {s}, "features": [{_rows_text(rng, 1, 7, token)}]}}'
+                                for s in range(0, 40, 8))
+            lines.append(f'{{"id": "t{index}", "frame_hop": 0.5, "frames": [[{frames}]], '
+                         f'"segments": [{entries}]}}')
+        _assert_same_tracks(catalog_module._read_tracks(lines), _oracle(lines))
+        assert json_reads == []
+
+    @pytest.mark.parametrize("bad", ["01", "1.", ".5", "+1", "1_0", "inf", "nan", "0x1", "1e",
+                                     "--1", "1e+", "0.5.5", "1 0"])
+    def test_odd_tokens_off_the_json_grammar_are_refused(self, bad):
+        # float() reads most of these; the JSON number grammar does not.
+        for row in (["5e-05", "-0", bad, "0.25"], ["5e-05", "0.1234567890123456789", bad]):
+            assert catalog_module._parse_rows(", ".join(row), len(row)) is None, row
+            good = [token if token != bad else "0.5" for token in row]
+            values = catalog_module._parse_rows(", ".join(good), len(good))
+            assert values.tobytes() == np.array([json.loads(f"[{', '.join(good)}]")]).tobytes()
+
     @pytest.mark.parametrize("frames", [
         "[[0.1234567890123456],[0.2345678901234567]]",
         "[[0.1234567890123456,0.2345678901234567]]",

@@ -10,6 +10,7 @@ from segue.model import (
     ModelCorruptError,
     ModelShapeError,
     ModelVersionError,
+    SequenceModel,
     load_model,
     save_model,
 )
@@ -64,6 +65,24 @@ class TestRoundTrip:
         save_model(small_model, first)
         save_model(load_model(first), second)
         assert first.read_bytes() == second.read_bytes()
+
+    def test_failed_save_leaves_the_old_file(self, small_model, monkeypatch, tmp_path):
+        path = tmp_path / "model.sgm"
+        save_model(small_model, path)
+        before = path.read_bytes()
+        other = init_model(num_layers=2, hidden_size=8, dimension=5, seed=22)
+        blocks = SequenceModel.blocks
+
+        def fail_after_first_block(model):
+            iterator = blocks(model)
+            yield next(iterator)
+            raise RuntimeError("cut")
+
+        monkeypatch.setattr(SequenceModel, "blocks", fail_after_first_block)
+        with pytest.raises(RuntimeError, match="cut"):
+            save_model(other, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.sgm"]
 
 
 def per_gate_file(model):

@@ -14,6 +14,13 @@ items active there. Loss is the mean squared error between prediction and
 target, averaged over feature dimensions and batch items, and gradients are
 computed by one backpropagation through time over the batch's unmasked
 steps, again layer by layer.
+
+Nested training windows share one run. A track's windows ``sections[0:1]``,
+``sections[0:2]``, ... hold the same leading rows, and identical input bits
+give identical states, so an item whose real rows are, byte for byte, the
+leading real rows of another item's is not run: it reads its prediction from
+that item's top-layer output at its own last real step, and its gradient
+enters the backward pass there.
 """
 
 from __future__ import annotations
@@ -139,16 +146,17 @@ def _run(
     state as it was. Each layer applies its input weights to all positions in
     one product and then walks the steps, adding only the recurrent product
     of the rows active there; its outputs at every position are the next
-    layer's inputs. A ``tape`` gets the positions, then per layer
-    ([input, previous hidden], gates, previous cell, tanh of the new cell),
-    one row per position.
+    layer's inputs. A ``tape`` gets the item count and the positions, then
+    per layer ([input, previous hidden], gates, previous cell, tanh of the
+    new cell), one row per position, and last the top layer's output at
+    every position.
     """
     steps, items = np.nonzero(masks.T)  # step-major, so a step's positions are contiguous
     starts = np.flatnonzero(np.diff(steps, prepend=-1)).tolist()
     spans = list(zip(starts, [*starts[1:], len(steps)]))
-    if tape is not None:
-        tape.append((items, spans))
     size, count = model.hidden_size, len(windows)
+    if tape is not None:
+        tape.append((count, items, spans))
     x = windows[items, steps]
     hidden, cell = [], []
     for index, layer in enumerate(model.layers):
@@ -179,6 +187,8 @@ def _run(
         hidden.append(h)
         cell.append(c)
         x = out
+    if tape is not None:
+        tape.append(x)
     return hidden, cell
 
 
@@ -253,9 +263,9 @@ def loss_and_gradients(
     """Mean squared error over a batch plus gradients for every parameter.
 
     Loss is mean over batch items of ||prediction - target||^2 / D. The items
-    run together and gradients come from one backpropagation through time
-    over the batch's unmasked steps. Raises ``TrainingDivergedError`` if
-    anything goes non-finite.
+    run together, each distinct prefix once (``_shared_runs``), and gradients
+    come from one backpropagation through time over the run's unmasked
+    steps. Raises ``TrainingDivergedError`` if anything goes non-finite.
     """
     if not batch:
         raise ValueError("batch is empty")
@@ -263,8 +273,12 @@ def loss_and_gradients(
     masks = np.asarray([pair.mask for pair in batch], dtype=bool)
     targets = np.asarray([pair.target for pair in batch], dtype=np.float64)
     batch_size, dim = len(batch), model.dimension
+    carriers, readout = _shared_runs(windows, masks)
     tape: list = []
-    h_top = _run(model, windows, masks, tape=tape)[0][-1]
+    _run(model, windows[carriers], masks[carriers], tape=tape)
+    out, real = tape[-1], readout >= 0
+    h_top = np.zeros((batch_size, model.hidden_size))  # a fully masked item keeps the zero state
+    h_top[real] = out[readout[real]]
     prediction = _output(model, h_top)
     residual = prediction - targets
     loss = float(np.sum(residual * residual)) / dim / batch_size
@@ -273,29 +287,71 @@ def loss_and_gradients(
     grads = {name: np.empty_like(array) for name, array in model.parameter_items()}
     np.dot(dz_out.T, h_top, out=grads["out.w"])
     np.sum(dz_out, axis=0, out=grads["out.b"])
-    _bptt(model, tape, dz_out @ model.w_out, grads)
+    d_out = np.zeros_like(out)
+    np.add.at(d_out, readout[real], (dz_out @ model.w_out)[real])
+    _bptt(model, tape, d_out, grads)
     if not np.isfinite(loss) or any(not np.isfinite(g).all() for g in grads.values()):
         raise TrainingDivergedError("non-finite loss or gradient")
     return loss, grads
 
 
-def _bptt(model: SequenceModel, tape: list, dh_top: np.ndarray, grads: dict) -> None:
+def _shared_runs(windows: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The items of a (B, N, D) batch that run, and where every item reads out.
+
+    An item rides on a carrier when its real rows are, byte for byte, the
+    carrier's leading real rows (bytes, so -0.0 and 0.0 differ). Items are
+    keyed by their first real row and, within a key, taken longest first,
+    so each rides on the first longer or equal item that holds its rows, or
+    carries itself. Returns the carriers' indices in batch order and, per
+    item, the index of its last real step among the step-major unmasked
+    positions of the carriers' run; -1 for a fully masked item.
+    """
+    rows = [window[mask].tobytes() for window, mask in zip(windows, masks)]
+    width = windows.shape[2] * windows.itemsize
+    keyed: dict[bytes, list[int]] = {}
+    for item, real in enumerate(rows):
+        if real:
+            keyed.setdefault(real[:width], []).append(item)
+    carrier = list(range(len(rows)))
+    for group in keyed.values():
+        group.sort(key=lambda item: -len(rows[item]))  # stable: equal rows ride on the first
+        runs: list[int] = []
+        for item in group:
+            carrier[item] = next((run for run in runs if rows[run].startswith(rows[item])), item)
+            if carrier[item] == item:
+                runs.append(item)
+    carriers = np.array([item for item, real in enumerate(rows) if real and carrier[item] == item],
+                        dtype=np.intp)
+    run_masks = masks[carriers]
+    position = np.full(run_masks.shape, -1)
+    position.T[run_masks.T] = np.arange(np.count_nonzero(run_masks))  # step-major, as ``_run``
+    slot = dict(zip(carriers.tolist(), range(len(carriers))))
+    readout = np.full(len(rows), -1)
+    for item, real in enumerate(rows):
+        if real:
+            run = slot[carrier[item]]
+            readout[item] = position[run][run_masks[run]][len(real) // width - 1]
+    return carriers, readout
+
+
+def _bptt(model: SequenceModel, tape: list, d_out: np.ndarray, grads: dict) -> None:
     """Fill the LSTM parameter gradients from a ``_run`` tape.
 
-    Walks the layers top down and, within a layer, the steps in reverse,
-    multiplying only by the recurrent weights per step. Each layer then
-    passes the gradient of its inputs down in one product, and forms its
-    weight gradient in one product with the cached [input, previous hidden].
+    ``d_out`` holds, per position, the loss gradient with respect to the top
+    layer's output there. Walks the layers top down and, within a layer, the
+    steps in reverse, multiplying only by the recurrent weights per step.
+    Each layer then passes the gradient of its inputs down in one product,
+    and forms its weight gradient in one product with the cached [input,
+    previous hidden].
     """
-    (items, spans), *layers = tape
+    (count, items, spans), *layers, _ = tape
     size = model.hidden_size
-    dh = dh_top.copy()  # per item: gradient with respect to the layer's final hidden state
-    dx = np.zeros((len(items), size))  # per position: gradient with respect to the layer's outputs
+    dx = d_out  # per position: gradient with respect to the layer's outputs
     for index in reversed(range(model.num_layers)):
         layer = model.layers[index]
         xh, gates, c_prev, tanh_c = layers[index]
         w_h = layer.weight[:, -size:]
-        dc = np.zeros_like(dh)
+        dh, dc = np.zeros((2, count, size))  # per item: from the item's next step
         dz = np.empty_like(gates)
         for lo, hi in reversed(spans):
             rows, z, tc = items[lo:hi], gates[lo:hi], tanh_c[lo:hi]
@@ -311,7 +367,6 @@ def _bptt(model: SequenceModel, tape: list, dh_top: np.ndarray, grads: dict) -> 
             dc[rows] = d_c * f
         if index > 0:
             dx = dz @ layer.weight[:, :-size]
-            dh = np.zeros_like(dh)  # only the top layer's final state reaches the loss
         np.dot(dz.T, xh, out=grads[f"layer{index}.weight"])
         np.sum(dz, axis=0, out=grads[f"layer{index}.bias"])
 
@@ -324,17 +379,27 @@ def train(
     Minibatch order is shuffled per epoch from the config seed; gradients are
     clipped to ``clip_norm`` (global norm) before each update. Returns the
     trained model, with its context length and training snapshot filled in,
-    plus the per-epoch loss history. Raises ``TrainingDivergedError`` (with
-    the epoch index) if the loss goes non-finite.
+    plus the per-epoch loss history. Raises ``ValueError`` naming the first
+    pair whose window, mask or target has the wrong shape or holds a
+    non-finite value, before any batch runs, and ``TrainingDivergedError``
+    (with the epoch index) if the loss goes non-finite.
     """
     if not sequences:
         raise ValueError("no training sequences")
-    for pair in sequences:
-        if pair.window.shape != (config.context_length, model.dimension):
+    length, dim = config.context_length, model.dimension
+    for index, (window, mask, target) in enumerate(sequences):
+        window, mask, target = np.asarray(window), np.asarray(mask), np.asarray(target)
+        if window.shape != (length, dim):
             raise ValueError(
-                f"window shape {pair.window.shape} does not match context length "
-                f"{config.context_length} and dimension {model.dimension}"
+                f"pair {index}: window shape {window.shape} does not match context length "
+                f"{length} and dimension {dim}"
             )
+        if mask.shape != (length,):
+            raise ValueError(f"pair {index}: mask shape {mask.shape} != ({length},)")
+        if target.shape != (dim,):
+            raise ValueError(f"pair {index}: target shape {target.shape} != ({dim},)")
+        if not (np.isfinite(window).all() and np.isfinite(target).all()):
+            raise ValueError(f"pair {index}: non-finite window or target value")
     trained = model.copy()
     params = dict(trained.parameter_items())
     opt = _Adam(params, config.learning_rate) if config.optimizer == "adam" else _Sgd(config.learning_rate)

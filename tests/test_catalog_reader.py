@@ -3,6 +3,7 @@
 import json
 import random
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -402,6 +403,18 @@ class TestFastPath:
             values = catalog_module._parse_rows(", ".join(good), len(good))
             assert values.tobytes() == np.array([json.loads(f"[{', '.join(good)}]")]).tobytes()
 
+    def test_rows_without_exact_tokens_skip_the_digit_work(self, monkeypatch):
+        # 17-decimal values and integers: no token is I.ddd with at most 15
+        # decimals, so the digit gathers never run, and the values are json's.
+        def refuse(words):
+            raise AssertionError("digit work on a block without exact tokens")
+
+        monkeypatch.setattr(catalog_module, "_eight_digits", refuse)
+        rng = random.Random(6)
+        text = _rows_text(rng, 30, 7, lambda rng: rng.choice([_long, _bit])(rng))
+        values = catalog_module._parse_rows(text, 7)
+        assert values.tobytes() == np.array(json.loads(f"[[{text}]]")).tobytes()
+
     @pytest.mark.parametrize("frames", [
         "[[0.1234567890123456],[0.2345678901234567]]",
         "[[0.1234567890123456,0.2345678901234567]]",
@@ -462,6 +475,7 @@ class TestFastPath:
 
 
 _HUGE = "1" + "0" * 400  # an integer JSON reads exactly, beyond float range
+_LONG_INT = "1" + "0" * 5000  # beyond the digits int() converts from text
 
 
 @pytest.mark.parametrize("line, fault", [
@@ -481,6 +495,19 @@ def test_integer_beyond_float_range_is_a_catalog_error(tmp_path, line, fault):
     with pytest.raises(CatalogError) as caught:
         load_catalog(path)
     assert str(caught.value) == f"line 1: track 'a': {fault}"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python converts integers of any length")
+@pytest.mark.parametrize("line", [
+    '{"id": "a", "frame_hop": 0.5, "frames": [[0.25, %s]]}' % _LONG_INT,
+    '{"id": "a", "frame_hop": %s, "frames": [[0.25, 0.5]]}' % _LONG_INT,
+], ids=["frames", "frame_hop"])
+def test_integer_beyond_the_digit_limit_is_a_catalog_error(tmp_path, line):
+    path = tmp_path / "cat.jsonl"
+    path.write_text(_GOOD % 1 + "\n" + line + "\n", encoding="utf-8")
+    with pytest.raises(CatalogError, match=r"^line 2: invalid JSON: Exceeds the limit \(4300"):
+        load_catalog(path)
 
 
 def test_reader_scratch_is_bounded(tmp_path):

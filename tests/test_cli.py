@@ -247,6 +247,15 @@ class TestExitCodes:
         assert code == 2
         assert "line 1: track 'a': frame value beyond float range" in capsys.readouterr().err
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this Python converts integers of any length")
+    def test_integer_beyond_the_digit_limit_is_data_error(self, tmp_path, capsys):
+        catalog = tmp_path / "long.jsonl"
+        catalog.write_text('{"id": "a", "frame_hop": 0.5, "frames": [[0.5, 1%s]]}\n' % ("0" * 5000))
+        code = run(["segment", "-i", str(catalog), "-o", str(tmp_path / "o.jsonl")])
+        assert code == 2
+        assert "segue: error: line 1: invalid JSON: Exceeds the limit" in capsys.readouterr().err
+
     def test_zero_dimension_catalog_is_data_error(self, tmp_path, capsys):
         catalog = tmp_path / "empty-rows.jsonl"
         catalog.write_text('{"id": "a", "frame_hop": 0.5, "frames": [[]]}\n'

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from segue import rnn as rnn_module
 from segue.catalog import TrainingPair
 from segue.model import GATES
 from segue.rnn import (
@@ -320,6 +321,98 @@ def random_batch(rng, length, dimension, size):
     return batch
 
 
+def nested_windows(sections, length):
+    """Left-padded windows of every transition of one track, as ``build_training_sequences``."""
+    pairs = []
+    for target in range(1, len(sections)):
+        filled = min(target, length)
+        window = np.zeros((length, sections.shape[1]))
+        mask = np.zeros(length, dtype=bool)
+        window[length - filled :] = sections[target - filled : target]
+        mask[length - filled :] = True
+        pairs.append(TrainingPair(window, mask, sections[target]))
+    return pairs
+
+
+def nested_batch(rng, length, dimension):
+    """Prefixes of one track (some sliding past the context), a duplicate, a gapped prefix,
+    a fully masked item and an unrelated item, shuffled."""
+    sections = rng.uniform(0, 1, (length + 2, dimension))
+    batch = nested_windows(sections, length)
+    batch.append(batch[1])
+    gapped = np.zeros((length, dimension))
+    mask = np.zeros(length, dtype=bool)
+    mask[[0, length - 1]] = True
+    gapped[mask] = sections[:2]
+    batch.append(TrainingPair(gapped, mask, rng.uniform(0, 1, dimension)))
+    batch.append(TrainingPair(np.zeros((length, dimension)), np.zeros(length, dtype=bool),
+                              rng.uniform(0, 1, dimension)))
+    batch.append(random_batch(rng, length, dimension, 1)[0])
+    return [batch[index] for index in rng.permutation(len(batch))]
+
+
+def counted_positions(monkeypatch):
+    """Patch ``rnn._run`` to record the unmasked positions of every run."""
+    counts = []
+    run = rnn_module._run
+
+    def counting_run(model, windows, masks, *args, **kwargs):
+        counts.append(int(np.count_nonzero(masks)))
+        return run(model, windows, masks, *args, **kwargs)
+
+    monkeypatch.setattr(rnn_module, "_run", counting_run)
+    return counts
+
+
+class TestNestedWindows:
+    """Items whose real rows lead another item's are read out of that item's run."""
+
+    def test_loss_and_gradients_equal_mean_of_single_items(self, monkeypatch):
+        rng = np.random.default_rng(77)
+        for layers, hidden, dim, length in [(1, 3, 2, 4), (2, 4, 3, 5), (3, 2, 2, 3)]:
+            model = init_model(layers, hidden, dim, seed=int(rng.integers(1000)))
+            batch = nested_batch(rng, length, dim)
+            counts = counted_positions(monkeypatch)
+            loss, grads = loss_and_gradients(model, batch)
+            assert counts[0] < sum(int(pair.mask.sum()) for pair in batch)
+            monkeypatch.undo()
+            singles = [loss_and_gradients(model, [pair]) for pair in batch]
+            assert loss == pytest.approx(np.mean([one for one, _ in singles]), rel=1e-12, abs=1e-15)
+            for name in grads:
+                mean = sum(single[name] for _, single in singles) / len(batch)
+                np.testing.assert_allclose(grads[name], mean, rtol=0, atol=1e-12)
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(78)
+        model = init_model(2, 3, 2, seed=78)
+        assert finite_difference_error(model, nested_batch(rng, 3, 2)) <= 1e-4
+
+    def test_two_tracks_of_nested_windows_run_their_longest_windows_only(self, monkeypatch):
+        # The benchmark's batch: 2 tracks of 7 and 11 sections at context 50 give
+        # 16 pairs with (1 + ... + 6) + (1 + ... + 10) = 76 real steps, 6 + 10 distinct.
+        rng = np.random.default_rng(79)
+        batch = [pair for count in (7, 11)
+                 for pair in nested_windows(rng.uniform(0, 1, (count, 3)), 50)]
+        batch = [batch[index] for index in rng.permutation(len(batch))]
+        assert len(batch) == 16 and sum(int(pair.mask.sum()) for pair in batch) == 76
+        counts = counted_positions(monkeypatch)
+        loss_and_gradients(init_model(2, 4, 3, seed=79), batch)
+        assert counts == [16]
+
+    def test_rows_that_differ_in_the_sign_of_a_zero_are_not_shared(self, monkeypatch):
+        rows = np.array([[0.0, 0.5], [0.25, 0.75]])
+        mask = np.ones(2, dtype=bool)
+        signed = rows.copy()
+        signed[0, 0] = -0.0
+        target = np.array([0.5, 0.5])
+        batch = [TrainingPair(rows, mask, target),
+                 TrainingPair(signed, np.array([True, False]), target),
+                 TrainingPair(rows, np.array([True, False]), target)]
+        counts = counted_positions(monkeypatch)
+        loss_and_gradients(init_model(2, 3, 2, seed=80), batch)
+        assert counts == [3]  # the -0.0 item runs alone; the +0.0 prefix rides
+
+
 class TestBatchedPath:
     """A batch agrees with the same items run one at a time and with the scalar oracle."""
 
@@ -414,6 +507,28 @@ class TestTrain:
         pairs = toy_pairs(count=4, context=3, dimension=4, seed=7)
         with pytest.raises(ValueError, match="context length"):
             train(init_model(2, 4, 4, seed=7), pairs, TrainConfig(context_length=5, epochs=1))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("mask", np.ones(2, dtype=bool), r"pair 1: mask shape \(2,\) != \(3,\)"),
+        ("target", np.zeros(5), r"pair 1: target shape \(5,\) != \(4,\)"),
+        ("target", np.array([0.5, np.nan, 0.5, 0.5]), "pair 1: non-finite window or target"),
+        ("window", np.full((3, 4), np.inf), "pair 1: non-finite window or target"),
+    ])
+    def test_malformed_pair_rejected_before_training(self, monkeypatch, field, value, message):
+        pairs = toy_pairs(count=4, context=3, dimension=4, seed=7)
+        pairs[1] = pairs[1]._replace(**{field: value})
+
+        def refuse(model, batch):
+            raise AssertionError("a batch ran")
+
+        monkeypatch.setattr(rnn_module, "loss_and_gradients", refuse)
+        with pytest.raises(ValueError, match=message):
+            train(init_model(2, 4, 4, seed=7), pairs, TrainConfig(context_length=3, epochs=1))
+
+    def test_every_target_too_long_rejected(self):
+        pairs = [pair._replace(target=np.zeros(5)) for pair in toy_pairs(4, 3, 4, seed=7)]
+        with pytest.raises(ValueError, match=r"pair 0: target shape"):
+            train(init_model(2, 4, 4, seed=7), pairs, TrainConfig(context_length=3, epochs=1))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_reports_epoch(self):

@@ -594,22 +594,17 @@ def _parse_rows(text: str, width: int) -> np.ndarray | None:
     # next 8; bytes past the token are masked off before the digits are summed.
     # The bytes are gathered as raw 8-byte items: much faster than gathering
     # unaligned integers, and the gathered copy is aligned. Tokens that are not
-    # exact get some value here, replaced below; a block with no exact token,
-    # as rows of full-precision means, skips this work.
-    if exact.any():
-        decimals = lengths - 2
-        words = np.ndarray((n + 16,), dtype="V8", buffer=buffer, strides=(1,))
-        low = _eight_digits(
-            (words[starts + 2].view("<u8") - _ZEROS) & _KEEP[np.minimum(decimals, 8)])
-        numerators = low.view(np.int64) * 10**7
-        numerators += (first == ord("1")) * 10**15
-        if (decimals[exact] > 8).any():
-            high = words[starts + 10].view("<u8")
-            high = _eight_digits((high - _ZEROS) & _KEEP[np.clip(decimals - 8, 0, 8)])
-            numerators += (high // 10).view(np.int64)
-        values = numerators / 1e15
-    else:
-        values = np.empty(starts.size)
+    # exact get some value here, replaced below.
+    decimals = lengths - 2
+    words = np.ndarray((n + 16,), dtype="V8", buffer=buffer, strides=(1,))
+    low = _eight_digits((words[starts + 2].view("<u8") - _ZEROS) & _KEEP[np.minimum(decimals, 8)])
+    numerators = low.view(np.int64) * 10**7
+    numerators += (first == ord("1")) * 10**15
+    if (decimals[exact] > 8).any():
+        high = words[starts + 10].view("<u8")
+        high = _eight_digits((high - _ZEROS) & _KEEP[np.clip(decimals - 8, 0, 8)])
+        numerators += (high // 10).view(np.int64)
+    values = numerators / 1e15
     others = np.flatnonzero(~exact)
     if others.size:
         tokens = [text[lo:hi] for lo, hi in zip(starts[others].tolist(), ends[others].tolist())]

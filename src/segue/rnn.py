@@ -380,9 +380,10 @@ def train(
     clipped to ``clip_norm`` (global norm) before each update. Returns the
     trained model, with its context length and training snapshot filled in,
     plus the per-epoch loss history. Raises ``ValueError`` naming the first
-    pair whose window, mask or target has the wrong shape or holds a
-    non-finite value, before any batch runs, and ``TrainingDivergedError``
-    (with the epoch index) if the loss goes non-finite.
+    pair whose window, mask or target has the wrong shape, or whose real
+    window rows or target hold a non-finite value, before any batch runs,
+    and ``TrainingDivergedError`` (with the epoch index) if the loss goes
+    non-finite.
     """
     if not sequences:
         raise ValueError("no training sequences")
@@ -398,7 +399,7 @@ def train(
             raise ValueError(f"pair {index}: mask shape {mask.shape} != ({length},)")
         if target.shape != (dim,):
             raise ValueError(f"pair {index}: target shape {target.shape} != ({dim},)")
-        if not (np.isfinite(window).all() and np.isfinite(target).all()):
+        if not (np.isfinite(window[mask.astype(bool)]).all() and np.isfinite(target).all()):
             raise ValueError(f"pair {index}: non-finite window or target value")
     trained = model.copy()
     params = dict(trained.parameter_items())

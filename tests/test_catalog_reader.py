@@ -403,18 +403,6 @@ class TestFastPath:
             values = catalog_module._parse_rows(", ".join(good), len(good))
             assert values.tobytes() == np.array([json.loads(f"[{', '.join(good)}]")]).tobytes()
 
-    def test_rows_without_exact_tokens_skip_the_digit_work(self, monkeypatch):
-        # 17-decimal values and integers: no token is I.ddd with at most 15
-        # decimals, so the digit gathers never run, and the values are json's.
-        def refuse(words):
-            raise AssertionError("digit work on a block without exact tokens")
-
-        monkeypatch.setattr(catalog_module, "_eight_digits", refuse)
-        rng = random.Random(6)
-        text = _rows_text(rng, 30, 7, lambda rng: rng.choice([_long, _bit])(rng))
-        values = catalog_module._parse_rows(text, 7)
-        assert values.tobytes() == np.array(json.loads(f"[[{text}]]")).tobytes()
-
     @pytest.mark.parametrize("frames", [
         "[[0.1234567890123456],[0.2345678901234567]]",
         "[[0.1234567890123456,0.2345678901234567]]",

@@ -525,6 +525,28 @@ class TestTrain:
         with pytest.raises(ValueError, match=message):
             train(init_model(2, 4, 4, seed=7), pairs, TrainConfig(context_length=3, epochs=1))
 
+    def test_non_finite_value_in_a_real_row_rejected(self):
+        pairs = toy_pairs(count=4, context=3, dimension=4, seed=7)
+        window = pairs[1].window.copy()
+        window[2, 1] = np.inf
+        pairs[1] = pairs[1]._replace(window=window, mask=np.array([False, True, True]))
+        with pytest.raises(ValueError, match="pair 1: non-finite window or target"):
+            train(init_model(2, 4, 4, seed=7), pairs, TrainConfig(context_length=3, epochs=1))
+
+    def test_non_finite_padding_trains_as_zero_padding(self):
+        # Masked rows never reach the LSTM, so NaN padding is accepted and
+        # trains bit for bit as zero padding does.
+        model, config = init_model(2, 4, 4, seed=7), TrainConfig(context_length=3, epochs=2)
+        trained = []
+        for fill in (0.0, np.nan):
+            pairs = toy_pairs(count=4, context=3, dimension=4, seed=7)
+            window = pairs[1].window.copy()
+            window[0] = fill
+            pairs[1] = pairs[1]._replace(window=window, mask=np.array([False, True, True]))
+            trained.append(train(model, pairs, config)[0])
+        for (_, zero), (_, nan) in zip(*(model.parameter_items() for model in trained)):
+            np.testing.assert_array_equal(zero, nan)
+
     def test_every_target_too_long_rejected(self):
         pairs = [pair._replace(target=np.zeros(5)) for pair in toy_pairs(4, 3, 4, seed=7)]
         with pytest.raises(ValueError, match=r"pair 0: target shape"):

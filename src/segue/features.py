@@ -72,9 +72,8 @@ def fold_standardizer(model: SequenceModel, stats: StandardizationStats) -> Sequ
     """
     folded = model.copy()
     layer = folded.layers[0]
-    w_x = layer.weight[:, : model.dimension]
-    layer.bias -= w_x @ (stats.mean / stats.scale)
-    w_x /= stats.scale
+    layer.bias -= layer.w_x @ (stats.mean / stats.scale)
+    layer.w_x /= stats.scale
     return folded
 
 

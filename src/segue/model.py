@@ -1,9 +1,10 @@
 """Sequence-model parameter containers and the versioned binary model file.
 
-In memory each LSTM layer holds one fused weight (4H, in+H) and bias (4H,):
-row block k is gate ``GATES[k]``, the first ``in`` columns act on the layer
-input and the last H on the previous hidden state. The file is unchanged by
-this layout; save and load slice its per-gate blocks out of the fused arrays.
+In memory each LSTM layer holds two C-contiguous weights, ``w_x`` (4H, in)
+on the layer input and ``w_h`` (4H, H) on the previous hidden state, and a
+bias (4H,); in each, row block k is gate ``GATES[k]``. Every file block is
+then one contiguous row range of an array, which load reads into in place,
+with no staging buffer.
 
 File layout (little-endian throughout):
 
@@ -22,6 +23,7 @@ import copy
 import math
 import os
 import struct
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -33,7 +35,7 @@ from .files import atomic_output
 MAGIC = b"SGM1"
 _HEADER_BYTES = 4 + 16
 
-# Gate order is part of the file format and of the fused row layout.
+# Gate order is part of the file format and of each layer array's row layout.
 GATES = ("input", "forget", "output", "candidate")
 
 
@@ -55,16 +57,17 @@ class ModelCorruptError(ModelFormatError):
 
 @dataclass
 class LstmLayerParams:
-    """Fused weights for one LSTM layer: ``weight`` (4H, in+H), ``bias`` (4H,)."""
+    """One LSTM layer: ``w_x`` (4H, in), ``w_h`` (4H, H), ``bias`` (4H,), gates as row blocks."""
 
-    weight: np.ndarray
+    w_x: np.ndarray
+    w_h: np.ndarray
     bias: np.ndarray
 
     def gate(self, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Views (input weights (H, in), recurrent weights (H, H), bias (H,)) of one gate."""
-        hidden = self.weight.shape[0] // 4
+        hidden = self.w_h.shape[1]
         rows = slice(GATES.index(name) * hidden, (GATES.index(name) + 1) * hidden)
-        return self.weight[rows, :-hidden], self.weight[rows, -hidden:], self.bias[rows]
+        return self.w_x[rows], self.w_h[rows], self.bias[rows]
 
 
 @dataclass
@@ -83,8 +86,8 @@ class SequenceModel:
     @classmethod
     def zeros(cls, num_layers: int, hidden: int, dim: int) -> "SequenceModel":
         """A model of the given shape with every parameter zero."""
-        arrays = [np.zeros(shape) for _, shape in _fused_shapes(num_layers, hidden, dim)]
-        layers = [LstmLayerParams(*arrays[2 * i : 2 * i + 2]) for i in range(num_layers)]
+        arrays = [np.zeros(shape) for _, shape in _parameter_shapes(num_layers, hidden, dim)]
+        layers = [LstmLayerParams(*arrays[3 * i : 3 * i + 3]) for i in range(num_layers)]
         return cls(layers=layers, w_out=arrays[-2], b_out=arrays[-1])
 
     @property
@@ -100,14 +103,16 @@ class SequenceModel:
         return self.w_out.shape[0]
 
     def parameter_items(self) -> list[tuple[str, np.ndarray]]:
-        """All parameter arrays (the fused ones, not views) in canonical order."""
+        """All parameter arrays (whole arrays, not per-gate views) in canonical order."""
         items: list[tuple[str, np.ndarray]] = []
         for index, layer in enumerate(self.layers):
-            items += [(f"layer{index}.weight", layer.weight), (f"layer{index}.bias", layer.bias)]
+            items += [
+                (f"layer{index}.{name}", getattr(layer, name)) for name in ("w_x", "w_h", "bias")
+            ]
         return items + [("out.w", self.w_out), ("out.b", self.b_out)]
 
     def blocks(self) -> Iterator[np.ndarray]:
-        """Views of the parameters as the file's blocks, in file order."""
+        """Views of the parameters as the file's blocks, in file order: row ranges of the arrays."""
         for layer in self.layers:
             for gate in GATES:
                 yield from layer.gate(gate)
@@ -122,7 +127,7 @@ class SequenceModel:
         """Check shape consistency against (L, H, D) and finiteness of all parameters."""
         if self.num_layers < 1:
             raise ModelShapeError("model must have at least one layer")
-        expected = dict(_fused_shapes(self.num_layers, self.hidden_size, self.dimension))
+        expected = dict(_parameter_shapes(self.num_layers, self.hidden_size, self.dimension))
         for name, array in self.parameter_items():
             if array.shape != expected[name]:
                 raise ModelShapeError(f"parameter '{name}': shape {array.shape} != {expected[name]}")
@@ -144,12 +149,14 @@ class SequenceModel:
         )
 
 
-def _fused_shapes(num_layers: int, hidden: int, dim: int) -> list[tuple[str, tuple[int, ...]]]:
+def _parameter_shapes(num_layers: int, hidden: int, dim: int) -> list[tuple[str, tuple[int, ...]]]:
     shapes: list[tuple[str, tuple[int, ...]]] = []
     for index in range(num_layers):
         in_dim = dim if index == 0 else hidden
         shapes += [
-            (f"layer{index}.weight", (4 * hidden, in_dim + hidden)), (f"layer{index}.bias", (4 * hidden,))
+            (f"layer{index}.w_x", (4 * hidden, in_dim)),
+            (f"layer{index}.w_h", (4 * hidden, hidden)),
+            (f"layer{index}.bias", (4 * hidden,)),
         ]
     return shapes + [("out.w", (dim, hidden)), ("out.b", (dim,))]
 
@@ -188,8 +195,8 @@ def load_model(path: str | Path) -> SequenceModel:
     ``ModelCorruptError`` for truncated or otherwise unreadable files.
     Every block header is checked before any parameter array is allocated,
     so the memory a file can claim is bounded by its length. The values are
-    then read block by block through one buffer the size of the largest
-    block, so loading needs little more than the model's own memory.
+    then read straight into the parameter arrays, block by block, so loading
+    needs no memory beyond the model's own.
     """
     with Path(path).open("rb") as handle:
         size = os.fstat(handle.fileno()).st_size
@@ -230,14 +237,13 @@ def load_model(path: str | Path) -> SequenceModel:
 
         model = SequenceModel.zeros(num_layers, hidden, dim)
         model.context_length = context or None
-        buffer = np.empty(max(block.size for block in model.blocks()), dtype="<f8")
         handle.seek(_HEADER_BYTES)
         for block in model.blocks():
-            values = buffer[: block.size]
             handle.seek(4, os.SEEK_CUR)  # the element count, checked above
-            if handle.readinto(values) != values.nbytes:
+            if handle.readinto(block) != block.nbytes:
                 raise ModelCorruptError("file shrank while loading")
-            block[...] = values.reshape(block.shape)
+            if sys.byteorder == "big":
+                block.byteswap(inplace=True)  # the file is little-endian
     if any(not np.isfinite(a).all() for _, a in model.parameter_items()):
         raise ModelCorruptError("non-finite parameter value")
     return model

@@ -10,8 +10,12 @@ A request carries the LSTM state along the history: while the history still
 fits the model's context, each step advances the state by the newly chosen
 track's sections only; once it is longer, the window slides, and each step
 runs its last N sections from zero. Either way the prediction is the one
-``predict_next`` gives on the whole history. The candidates' start sections
-are stacked once per request, and a used-mask drops the chosen tracks.
+``predict_next`` gives on the whole history, and every step of those runs is
+dense, so the state is carried without gathering rows. The candidates' start
+sections are stacked once per request, and a used-mask drops the chosen
+tracks. Each step scores the unused candidates once and takes the best in one
+pass (``StartSections.gap``); at debug level it also logs the best score's
+lead over the runner-up.
 """
 
 from __future__ import annotations
@@ -95,6 +99,7 @@ class Playlist:
                         median_score=entry["median_score"],
                         margin=entry["margin"],
                         best_cosine_distance=entry["best_cosine_distance"],
+                        runner_up_gap=math.nan,  # not saved
                     ),
                     no_near_neighbour=entry["no_near_neighbour"],
                 )
@@ -179,9 +184,9 @@ def generate(
         if debug:
             logger.debug(
                 "generate_step step=%d seconds=%.6f candidates=%d margin=%.6g "
-                "best_cosine_distance=%.6g no_near_neighbour=%s",
+                "runner_up_gap=%.6g best_cosine_distance=%.6g no_near_neighbour=%s",
                 step, time.perf_counter() - began, len(catalog) - len(chosen),
-                gap.margin, gap.best_cosine_distance, event,
+                gap.margin, gap.runner_up_gap, gap.best_cosine_distance, event,
             )
         steps.append(
             PlaylistStep(

@@ -8,12 +8,15 @@ predictions stay inside the (0, 1) probability range of the feature space.
 Windows shorter than the context length are left-padded and carry a boolean
 mask; masked steps are skipped entirely, so padding can never influence the
 prediction. A minibatch runs layer by layer: one matrix product applies a
-layer's input weights to all unmasked (item, step) positions, then each step
-adds only the product of the recurrent weights with the hidden state of the
-items active there. Loss is the mean squared error between prediction and
-target, averaged over feature dimensions and batch items, and gradients are
-computed by one backpropagation through time over the batch's unmasked
-steps, again layer by layer.
+layer's input weights ``w_x`` to all unmasked (item, step) positions, then
+each step adds only the product of the contiguous recurrent weights ``w_h``
+with the hidden state of the items active there. A step where every item is
+real (every step of ``advance`` and of unpadded windows) uses the previous
+step's output rows as its state, with no gather or scatter; a step that
+leaves items out gathers their rows. Loss is the mean squared error between
+prediction and target, averaged over feature dimensions and batch items, and
+gradients are computed by one backpropagation through time over the batch's
+unmasked steps, again layer by layer.
 
 Nested training windows share one run. A track's windows ``sections[0:1]``,
 ``sections[0:2]``, ... hold the same leading rows, and identical input bits
@@ -90,16 +93,14 @@ class LstmState:
 
 
 def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Numerically stable logistic function; ``out`` may be ``x`` itself."""
-    negative = x < 0
-    expx = np.abs(x)
-    np.exp(np.negative(expx, out=expx), out=expx)  # exp(-x) where x >= 0, else exp(x)
-    if out is None:
-        out = np.empty_like(expx)
-    out[...] = 1.0
-    np.copyto(out, expx, where=negative)
+    """Numerically stable logistic function; ``out`` may be ``x`` itself.
+
+    ``1 / (1 + exp(-x))`` where x >= 0 and ``exp(x) / (1 + exp(x))`` where x < 0.
+    """
+    expx = np.exp(np.copysign(x, -1.0))  # exp(-x) where x >= 0, else exp(x)
+    numerator = np.exp(np.minimum(x, 0.0))  # 1 where x >= 0, else exp(x)
     expx += 1.0
-    return np.divide(out, expx, out=out)
+    return np.divide(numerator, expx, out=out)
 
 
 def init_model(
@@ -145,11 +146,13 @@ def _run(
     (item, step) positions are computed, so masked steps leave an item's
     state as it was. Each layer applies its input weights to all positions in
     one product and then walks the steps, adding only the recurrent product
-    of the rows active there; its outputs at every position are the next
-    layer's inputs. A ``tape`` gets the item count and the positions, then
-    per layer ([input, previous hidden], gates, previous cell, tanh of the
-    new cell), one row per position, and last the top layer's output at
-    every position.
+    of the rows active there. At a step where every item is real, the state
+    rows are the previous step's outputs in item order and are used as they
+    are; only a step that leaves items out gathers and scatters rows by item.
+    A layer's outputs at every position are the next layer's inputs. A
+    ``tape`` gets the item count and the positions, then per layer (input,
+    previous hidden, gates, previous cell, tanh of the new cell), one row per
+    position, and last the top layer's output at every position.
     """
     steps, items = np.nonzero(masks.T)  # step-major, so a step's positions are contiguous
     starts = np.flatnonzero(np.diff(steps, prepend=-1)).tolist()
@@ -160,30 +163,44 @@ def _run(
     x = windows[items, steps]
     hidden, cell = [], []
     for index, layer in enumerate(model.layers):
-        n_in = layer.weight.shape[1] - size
-        w_h = layer.weight[:, n_in:].T
+        w_h = layer.w_h.T
         h, c = np.zeros((2, count, size))
         if state is not None:
             h[...], c[...] = state.hidden[index], state.cell[index]
-        xh = np.empty((len(steps), n_in + size))
-        xh[:, :n_in] = x
-        gates = xh[:, :n_in] @ layer.weight[:, :n_in].T
+        gates = x @ layer.w_x.T
         gates += layer.bias
-        c_prev, tanh_c, out = np.empty((3, len(steps), size))
-        for lo, hi in spans:
-            rows, z, h_prev = items[lo:hi], gates[lo:hi], xh[lo:hi, n_in:]
-            h_prev[...] = h[rows]
-            c_prev[lo:hi] = c[rows]
-            z += h_prev @ w_h
-            sigmoid(z[:, : 3 * size], out=z[:, : 3 * size])  # input, forget, output
-            np.tanh(z[:, 3 * size :], out=z[:, 3 * size :])  # candidate
-            i, f, o, g = (z[:, k * size : (k + 1) * size] for k in range(4))
-            c_new = f * c_prev[lo:hi]
-            c_new += i * g
-            np.multiply(o, np.tanh(c_new, out=tanh_c[lo:hi]), out=out[lo:hi])
-            h[rows], c[rows] = out[lo:hi], c_new
+        blocks = gates.reshape(len(steps), 4, size)  # per position, one row per gate
+        out = np.empty((len(steps), size))
         if tape is not None:
-            tape.append((xh, gates, c_prev, tanh_c))
+            h_prev, c_prev, tanh_c = np.empty((3, len(steps), size))
+        carried = False  # h and c are views of the previous step's rows
+        for lo, hi in spans:
+            dense = hi - lo == count  # every item is real here, in item order
+            if dense:
+                h_in, c_in = h, c
+            else:
+                if carried:
+                    h, c, carried = h.copy(), c.copy(), False
+                rows = items[lo:hi]
+                h_in, c_in = h[rows], c[rows]
+            gates[lo:hi] += h_in @ w_h
+            z = blocks[lo:hi]
+            sigmoid(z[:, :3], out=z[:, :3])  # input, forget, output
+            np.tanh(z[:, 3], out=z[:, 3])  # candidate
+            i, f, o, g = z.swapaxes(0, 1)
+            c_new = f * c_in
+            c_new += i * g
+            if tape is None:
+                np.multiply(o, np.tanh(c_new), out=out[lo:hi])
+            else:
+                np.multiply(o, np.tanh(c_new, out=tanh_c[lo:hi]), out=out[lo:hi])
+                h_prev[lo:hi], c_prev[lo:hi] = h_in, c_in
+            if dense:
+                h, c, carried = out[lo:hi], c_new, True
+            else:
+                h[rows], c[rows] = out[lo:hi], c_new
+        if tape is not None:
+            tape.append((x, h_prev, gates, c_prev, tanh_c))
         hidden.append(h)
         cell.append(c)
         x = out
@@ -341,16 +358,16 @@ def _bptt(model: SequenceModel, tape: list, d_out: np.ndarray, grads: dict) -> N
     layer's output there. Walks the layers top down and, within a layer, the
     steps in reverse, multiplying only by the recurrent weights per step.
     Each layer then passes the gradient of its inputs down in one product,
-    and forms its weight gradient in one product with the cached [input,
-    previous hidden].
+    and forms each weight gradient in one product with the cached inputs or
+    previous hidden states.
     """
     (count, items, spans), *layers, _ = tape
     size = model.hidden_size
     dx = d_out  # per position: gradient with respect to the layer's outputs
     for index in reversed(range(model.num_layers)):
         layer = model.layers[index]
-        xh, gates, c_prev, tanh_c = layers[index]
-        w_h = layer.weight[:, -size:]
+        x, h_prev, gates, c_prev, tanh_c = layers[index]
+        w_h = layer.w_h
         dh, dc = np.zeros((2, count, size))  # per item: from the item's next step
         dz = np.empty_like(gates)
         for lo, hi in reversed(spans):
@@ -366,8 +383,9 @@ def _bptt(model: SequenceModel, tape: list, d_out: np.ndarray, grads: dict) -> N
             dh[rows] = dz[lo:hi] @ w_h
             dc[rows] = d_c * f
         if index > 0:
-            dx = dz @ layer.weight[:, :-size]
-        np.dot(dz.T, xh, out=grads[f"layer{index}.weight"])
+            dx = dz @ layer.w_x
+        np.dot(dz.T, x, out=grads[f"layer{index}.w_x"])
+        np.dot(dz.T, h_prev, out=grads[f"layer{index}.w_h"])
         np.sum(dz, axis=0, out=grads[f"layer{index}.bias"])
 
 

@@ -12,17 +12,21 @@ catalog-wide ranking equals scoring the candidates one at a time, exactly.
 Predictions and start sections share one feature space, the catalog's
 [0, 1] tag probabilities, so both are scored as they are.
 
-Ranking is two steps: ``StartSections.of`` stacks the start sections once,
-and ``StartSections.ranked`` scores that stack against a prediction, leaving
-out the rows a boolean mask marks as used. ``rank_candidates`` and
-``nearest_neighbour_gap`` do both steps per call; a playlist builds the stack
+``StartSections.of`` stacks the start sections once, with their norms.
+Against a prediction, ``StartSections.ranked`` orders the rows that a boolean
+mask leaves unused, and ``StartSections.gap`` scores them once and picks the
+winner in one min (or max) pass, with no sort; the cosine distances that an
+``l2`` or ``dcg`` step also reports reuse the stored norms. ``rank_candidates``
+and ``nearest_neighbour_gap`` build the stack per call; a playlist builds it
 once and scores it at every step.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -73,7 +77,9 @@ class NeighbourGap:
 
     ``margin`` is how much the best score beats the catalog-median score under
     the ranking metric. ``best_cosine_distance`` is metric-independent and
-    drives no-near-neighbour detection.
+    drives no-near-neighbour detection. ``runner_up_gap`` is how much the best
+    score beats the second-best candidate's (0 on a tie, inf when there is no
+    second candidate); it is not compared.
     """
 
     best_id: str
@@ -81,6 +87,7 @@ class NeighbourGap:
     median_score: float
     margin: float
     best_cosine_distance: float
+    runner_up_gap: float = field(compare=False)
 
     def no_near_neighbour(self, threshold: float = 0.5) -> bool:
         return self.best_cosine_distance > threshold
@@ -121,17 +128,27 @@ def score(pred: np.ndarray, candidate: np.ndarray, metric: Metric) -> float:
     return float(_scores(pred, candidate[None, :], metric)[0])
 
 
-def _scores(pred: np.ndarray, rows: np.ndarray, metric: Metric) -> np.ndarray:
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of a C-ordered (M, D) ``rows``."""
+    return np.sqrt((rows * rows).sum(axis=1))
+
+
+def _scores(
+    pred: np.ndarray, rows: np.ndarray, metric: Metric, norms: np.ndarray | None = None
+) -> np.ndarray:
     """Score each row of the C-ordered (M, D) ``rows`` against ``pred``; shape (M,).
 
+    ``norms``, if given, is ``_norms(rows)``, which the cosine measure needs.
     ``np.take`` keeps the DCG gather C-ordered: ``rows[:, order]`` would be
     column-major, and numpy sums such rows in another order than one row.
+    Each measure makes one (M, D) temporary and works on it in place.
     """
     if metric.kind == "l2":
         diff = rows - pred
-        return np.sqrt((diff * diff).sum(axis=1))
+        diff *= diff
+        return np.sqrt(diff.sum(axis=1))
     if metric.kind == "cosine":
-        norms = np.sqrt((rows * rows).sum(axis=1)) * np.sqrt((pred * pred).sum())
+        norms = (_norms(rows) if norms is None else norms) * np.sqrt((pred * pred).sum())
         if not norms.all():
             logger.debug("cosine distance against a zero-norm vector; reporting 1.0")
         dots = (rows * pred).sum(axis=1)
@@ -143,7 +160,9 @@ def _scores(pred: np.ndarray, rows: np.ndarray, metric: Metric) -> np.ndarray:
         raise ValueError(f"dcg depth {depth} outside [1, {dim}]")
     order = np.argsort(-pred, kind="stable")[:depth]
     discounts = 1.0 / np.log2(np.arange(1, depth + 1) + 1.0)
-    return (np.take(rows, order, axis=1) * discounts).sum(axis=1)
+    taken = np.take(rows, order, axis=1)
+    taken *= discounts
+    return taken.sum(axis=1)
 
 
 def rank_candidates(
@@ -195,9 +214,30 @@ class StartSections:
         rows = np.stack([track.sections[0] for track in catalog])
         return cls(ids=np.array(catalog.track_ids), rows=rows)
 
+    @cached_property
+    def norms(self) -> np.ndarray:
+        """The row norms that every cosine pass over ``rows`` shares."""
+        return _norms(self.rows)
+
     def mask(self, exclude: frozenset[str] | set[str]) -> np.ndarray:
         """The ``used`` mask that leaves out the ``exclude`` ids."""
         return np.fromiter((i in exclude for i in self.ids.tolist()), bool, len(self.ids))
+
+    def _scored(
+        self, pred: np.ndarray, metric: Metric, used: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The checked prediction, the unused rows' positions, and their scores."""
+        pred = np.asarray(pred, dtype=np.float64)
+        dim = self.rows.shape[1]
+        if pred.shape != (dim,):
+            raise ValueError(f"dimension mismatch: {pred.shape} vs catalog dimension {dim}")
+        if not np.isfinite(pred).all():
+            raise ValueError("prediction has a non-finite value")
+        keep = np.flatnonzero(~used)
+        if not keep.size:
+            raise ValueError("no candidate tracks remain")
+        norms = self.norms if metric.kind == "cosine" else None
+        return pred, keep, _scores(pred, self.rows, metric, norms)[keep]
 
     def ranked(
         self, pred: np.ndarray, metric: Metric, used: np.ndarray
@@ -206,30 +246,36 @@ class StartSections:
 
         Returns their row positions and scores, best first (ties by ascending id).
         """
-        pred = np.asarray(pred, dtype=np.float64)
-        dim = self.rows.shape[1]
-        if pred.shape != (dim,):
-            raise ValueError(f"dimension mismatch: {pred.shape} vs catalog dimension {dim}")
-        keep = np.flatnonzero(~used)
-        if not keep.size:
-            raise ValueError("no candidate tracks remain")
-        scores = _scores(pred, self.rows, metric)[keep]
+        _, keep, scores = self._scored(pred, metric, used)
         order = np.lexsort((self.ids[keep], -scores if metric.higher_is_better else scores))
         return keep[order], scores[order]
 
-    def gap(self, pred: np.ndarray, metric: Metric, used: np.ndarray) -> tuple[NeighbourGap, int]:
-        """The neighbour gap among the unused rows, and the best one's row position."""
-        pred = np.asarray(pred, dtype=np.float64)
-        order, scores = self.ranked(pred, metric, used)
-        best_score = float(scores[0])
+    def gap(
+        self, pred: np.ndarray, metric: Metric, used: np.ndarray
+    ) -> tuple[NeighbourGap, int]:
+        """The neighbour gap among the unused rows, and the best one's row position.
+
+        One pass finds the best score; of the rows that reach it, the smallest
+        id wins, as in ``ranked``.
+        """
+        pred, keep, scores = self._scored(pred, metric, used)
+        extreme = np.max if metric.higher_is_better else np.min
+        tied = np.flatnonzero(scores == extreme(scores))
+        at = tied[np.argmin(self.ids[keep[tied]])]
+        best, best_score = int(keep[at]), float(scores[at])
         median = float(np.median(scores))
         margin = best_score - median if metric.higher_is_better else median - best_score
-        cosine = scores if metric.kind == "cosine" else _scores(pred, self.rows, Metric("cosine"))[order]
+        if metric.kind == "cosine":
+            cosine = scores
+        else:
+            cosine = _scores(pred, self.rows, Metric("cosine"), self.norms)[keep]
+        rest = np.delete(scores, at)
         gap = NeighbourGap(
-            best_id=str(self.ids[order[0]]),
+            best_id=str(self.ids[best]),
             best_score=best_score,
             median_score=median,
             margin=margin,
             best_cosine_distance=float(cosine.min()),
+            runner_up_gap=abs(best_score - float(extreme(rest))) if rest.size else math.inf,
         )
-        return gap, int(order[0])
+        return gap, best

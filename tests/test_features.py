@@ -146,7 +146,7 @@ class TestFoldStandardizer:
         model = init_model(2, 8, 8, seed=3)
         model.context_length = 4
         folded = fold_standardizer(model, stats)
-        w_x, folded_w_x = model.layers[0].weight[:, :8], folded.layers[0].weight[:, :8]
+        w_x, folded_w_x = model.layers[0].w_x, folded.layers[0].w_x
         assert (folded_w_x[:, 0] == 0.0).all()
         # the other columns are divided by their std exactly as before
         assert np.array_equal(folded_w_x[:, 1:], w_x[:, 1:] / stats.std[1:])

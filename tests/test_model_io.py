@@ -60,6 +60,21 @@ class TestRoundTrip:
         # the whole file held beside the arrays would add about one model size
         assert peak - size < size / 4
 
+    def test_load_reads_into_the_arrays_without_a_staging_buffer(self, tmp_path):
+        model = init_model(num_layers=2, hidden_size=128, dimension=16, seed=4)
+        path = tmp_path / "model.sgm"
+        save_model(model, path)
+        size = sum(array.nbytes for _, array in model.parameter_items())
+        largest = max(block.nbytes for block in model.blocks())
+        tracemalloc.start()
+        try:
+            loaded = load_model(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded.equals(model)
+        assert peak - size < largest  # a buffer for the largest block would exceed this
+
     def test_double_round_trip_bytes_identical(self, small_model, tmp_path):
         first, second = tmp_path / "a.sgm", tmp_path / "b.sgm"
         save_model(small_model, first)
@@ -86,17 +101,16 @@ class TestRoundTrip:
 
 
 def per_gate_file(model):
-    """SGM1 bytes written block by block from explicit slices of the fused arrays."""
+    """SGM1 bytes written block by block from explicit row slices of the layer arrays."""
     hidden = model.hidden_size
     data = b"SGM1" + struct.pack(
         "<4I", model.num_layers, hidden, model.dimension, model.context_length or 0
     )
     blocks = []
     for layer in model.layers:
-        in_dim = layer.weight.shape[1] - hidden
         for k in range(4):
-            rows = layer.weight[k * hidden : (k + 1) * hidden]
-            blocks += [rows[:, :in_dim], rows[:, in_dim:], layer.bias[k * hidden : (k + 1) * hidden]]
+            rows = slice(k * hidden, (k + 1) * hidden)
+            blocks += [layer.w_x[rows], layer.w_h[rows], layer.bias[rows]]
     for block in blocks + [model.w_out, model.b_out]:
         data += struct.pack("<I", block.size) + np.ascontiguousarray(block, dtype="<f8").tobytes()
     return data
@@ -109,7 +123,7 @@ class TestFileLayout:
         save_model(small_model, path)
         assert path.read_bytes() == per_gate_file(small_model)
 
-    def test_per_gate_file_loads_into_the_fused_layout(self, small_model, tmp_path):
+    def test_per_gate_file_loads_into_the_layer_arrays(self, small_model, tmp_path):
         path = tmp_path / "model.sgm"
         path.write_bytes(per_gate_file(small_model))
         assert load_model(path).equals(small_model)
@@ -201,6 +215,6 @@ class TestStructure:
         assert not clone.equals(small_model)
 
     def test_validate_catches_shape_drift(self, small_model):
-        small_model.layers[1].weight = np.zeros((3, 3))
-        with pytest.raises(ModelShapeError, match="layer1.weight"):
+        small_model.layers[1].w_h = np.zeros((3, 3))
+        with pytest.raises(ModelShapeError, match="layer1.w_h"):
             small_model.validate()

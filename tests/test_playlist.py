@@ -19,7 +19,7 @@ from segue.playlist import (
     write_transition_csv,
 )
 from segue.rnn import init_model, predict_next
-from segue.similarity import Metric, nearest_neighbour_gap
+from segue.similarity import Metric, nearest_neighbour_gap, score
 
 
 def make_catalog(track_count=6, dimension=4, seed=0, segments=(2, 5)):
@@ -155,6 +155,12 @@ class TestGenerate:
             assert float(fields["seconds"]) >= 0.0
             assert int(fields["candidates"]) == len(catalog) - 1 - index
             assert float(fields["margin"]) == pytest.approx(step.gap.margin, rel=1e-5)
+            used = set(result.track_ids[: index + 1])
+            ranked = sorted(
+                score(step.prediction, track.sections[0], Metric("dcg"))
+                for track in catalog if track.id not in used
+            )
+            assert float(fields["runner_up_gap"]) == pytest.approx(ranked[-1] - ranked[-2], rel=1e-5)
             assert float(fields["best_cosine_distance"]) == pytest.approx(
                 step.gap.best_cosine_distance, rel=1e-5, abs=1e-12
             )

@@ -14,11 +14,13 @@ from segue.rnn import (
     TrainConfig,
     TrainingDivergedError,
     _Adam,
+    advance,
     forward,
     init_model,
     loss_and_gradients,
     lstm_step,
     predict_next,
+    sigmoid,
     train,
     zero_state,
 )
@@ -447,6 +449,190 @@ class TestBatchedPath:
             masks = np.stack([pair.mask for pair in batch])
             oracle = np.stack([forward_oracle(model, pair.window, pair.mask) for pair in batch])
             np.testing.assert_allclose(forward(model, windows, masks), oracle, rtol=0, atol=1e-12)
+
+
+def reference_sigmoid(x, out=None):
+    """The logistic function as the gather/scatter step computed it: fill 1, copy exp(x) where x < 0."""
+    negative = x < 0
+    expx = np.abs(x)
+    np.exp(np.negative(expx, out=expx), out=expx)
+    if out is None:
+        out = np.empty_like(expx)
+    out[...] = 1.0
+    np.copyto(out, expx, where=negative)
+    expx += 1.0
+    return np.divide(out, expx, out=out)
+
+
+def reference_run(model, windows, masks, state=None):
+    """The gather/scatter step loop on fused (4H, in+H) weights; returns per-layer (B, H) h and c.
+
+    Every step gathers its items' rows into a strided [input, previous hidden]
+    buffer and scatters the new rows back by item, as ``rnn._run`` did before
+    dense steps carried their rows.
+    """
+    steps, items = np.nonzero(masks.T)
+    starts = np.flatnonzero(np.diff(steps, prepend=-1)).tolist()
+    spans = list(zip(starts, [*starts[1:], len(steps)]))
+    size, count = model.hidden_size, len(windows)
+    x = windows[items, steps]
+    hidden, cell = [], []
+    for index, layer in enumerate(model.layers):
+        weight = np.concatenate([layer.w_x, layer.w_h], axis=1)
+        n_in = weight.shape[1] - size
+        w_h = weight[:, n_in:].T
+        h, c = np.zeros((2, count, size))
+        if state is not None:
+            h[...], c[...] = state.hidden[index], state.cell[index]
+        xh = np.empty((len(steps), n_in + size))
+        xh[:, :n_in] = x
+        gates = xh[:, :n_in] @ weight[:, :n_in].T
+        gates += layer.bias
+        c_prev, tanh_c, out = np.empty((3, len(steps), size))
+        for lo, hi in spans:
+            rows, z, h_prev = items[lo:hi], gates[lo:hi], xh[lo:hi, n_in:]
+            h_prev[...] = h[rows]
+            c_prev[lo:hi] = c[rows]
+            z += h_prev @ w_h
+            reference_sigmoid(z[:, : 3 * size], out=z[:, : 3 * size])
+            np.tanh(z[:, 3 * size :], out=z[:, 3 * size :])
+            i, f, o, g = (z[:, k * size : (k + 1) * size] for k in range(4))
+            c_new = f * c_prev[lo:hi]
+            c_new += i * g
+            np.multiply(o, np.tanh(c_new, out=tanh_c[lo:hi]), out=out[lo:hi])
+            h[rows], c[rows] = out[lo:hi], c_new
+        hidden.append(h)
+        cell.append(c)
+        x = out
+    return hidden, cell
+
+
+def reference_prediction(model, hidden):
+    return reference_sigmoid(hidden[-1] @ model.w_out.T + model.b_out)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestDenseStepBits:
+    """Steps that carry their rows give, bit for bit, what the gather/scatter loop gave."""
+
+    DIMENSION = 5
+
+    @classmethod
+    def models(cls):
+        for hidden in (7, 33):
+            for layers in (1, 2, 3):
+                yield init_model(layers, hidden, cls.DIMENSION, seed=10 * hidden + layers)
+
+    @classmethod
+    def sections(cls, rng, count):
+        rows = rng.uniform(0, 1, (count, cls.DIMENSION))
+        rows[1] = [-0.0, 0.0, 0.0, 0.5, -0.0]  # signed and exact zeros
+        return rows
+
+    @staticmethod
+    def assert_states(hidden, cell, ref_hidden, ref_cell):
+        assert len(hidden) == len(cell) == len(ref_hidden) == len(ref_cell)
+        for layer, (h, c, ref_h, ref_c) in enumerate(zip(hidden, cell, ref_hidden, ref_cell)):
+            assert same_bits(h, ref_h), layer
+            assert same_bits(c, ref_c), layer
+
+    def test_advance_from_zero(self):
+        rng = np.random.default_rng(41)
+        for model in self.models():
+            sections = self.sections(rng, 6)
+            prediction, state = advance(model, sections)
+            ref_hidden, ref_cell = reference_run(model, sections[None], np.ones((1, 6), dtype=bool))
+            assert same_bits(prediction, reference_prediction(model, ref_hidden)[0])
+            self.assert_states(state.hidden, state.cell,
+                               [h[0] for h in ref_hidden], [c[0] for c in ref_cell])
+
+    def test_advance_from_a_carried_state(self):
+        rng = np.random.default_rng(42)
+        for model in self.models():
+            sections = self.sections(rng, 7)
+            _, carried = advance(model, sections[:3])
+            prediction, state = advance(model, sections[3:], carried)
+            ref_hidden, ref_cell = reference_run(
+                model, sections[None, 3:], np.ones((1, 4), dtype=bool), carried
+            )
+            assert same_bits(prediction, reference_prediction(model, ref_hidden)[0])
+            self.assert_states(state.hidden, state.cell,
+                               [h[0] for h in ref_hidden], [c[0] for c in ref_cell])
+
+    def test_forward_on_an_all_real_batch(self):
+        rng = np.random.default_rng(43)
+        for model in self.models():
+            windows = np.stack([self.sections(rng, 4) for _ in range(3)])
+            masks = np.ones((3, 4), dtype=bool)
+            ref_hidden, ref_cell = reference_run(model, windows, masks)
+            assert same_bits(forward(model, windows), reference_prediction(model, ref_hidden))
+            self.assert_states(*rnn_module._run(model, windows, masks), ref_hidden, ref_cell)
+
+    @pytest.mark.parametrize("masks", [
+        [[1, 1, 1, 1], [0, 0, 1, 1], [0, 1, 1, 1]],  # left-padded
+        [[1, 1, 1, 1], [1, 0, 1, 1], [0, 0, 0, 0]],  # a sparse step after a dense one
+    ])
+    def test_batch_with_masked_steps(self, masks):
+        masks = np.array(masks, dtype=bool)
+        rng = np.random.default_rng(44)
+        for model in self.models():
+            windows = np.stack([self.sections(rng, 4) for _ in range(3)])
+            windows[~masks] = 0.0
+            ref_hidden, ref_cell = reference_run(model, windows, masks)
+            assert same_bits(forward(model, windows, masks), reference_prediction(model, ref_hidden))
+            self.assert_states(*rnn_module._run(model, windows, masks), ref_hidden, ref_cell)
+
+
+def two_branch_sigmoid(x):
+    """``1 / (1 + exp(-x))`` for x >= 0 and ``exp(x) / (1 + exp(x))`` for x < 0; NaN stays NaN."""
+    out = np.full(x.shape, np.nan)
+    positive, negative = x >= 0, x < 0
+    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
+    ex = np.exp(x[negative])
+    out[negative] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoidBits:
+    SPECIAL = [0.0, -0.0, 1e-300, -1e-300, 700.0, -700.0, 750.0, -750.0,
+               np.inf, -np.inf, np.nan]
+
+    @staticmethod
+    def assert_bits(got, expected):
+        nan = np.isnan(expected)
+        assert (np.isnan(got) == nan).all()
+        assert (got[~nan].view(np.int64) == expected[~nan].view(np.int64)).all()
+
+    def values(self, count=1000):
+        rng = np.random.default_rng(45)
+        return np.concatenate([self.SPECIAL, 10.0 * rng.standard_normal(count)])
+
+    def test_matches_the_two_branch_formula(self):
+        x = self.values()
+        self.assert_bits(sigmoid(x), two_branch_sigmoid(x))
+
+    def test_output_may_alias_the_input(self):
+        x = self.values()
+        expected = two_branch_sigmoid(x)
+        result = sigmoid(x, out=x)
+        assert result is x
+        self.assert_bits(x, expected)
+
+    def test_strided_gate_block_view(self):
+        hidden = 33
+        rng = np.random.default_rng(46)
+        gates = 10.0 * rng.standard_normal((2, 4 * hidden))
+        gates[0, : len(self.SPECIAL)] = self.SPECIAL
+        gates[1, 2 * hidden : 2 * hidden + len(self.SPECIAL)] = self.SPECIAL
+        before = gates.copy()
+        block = gates[:, : 3 * hidden]
+        sigmoid(block, out=block)
+        self.assert_bits(gates[:, : 3 * hidden], two_branch_sigmoid(before[:, : 3 * hidden]))
+        assert same_bits(gates[:, 3 * hidden :], before[:, 3 * hidden :])
 
 
 def toy_pairs(count=30, context=8, dimension=6, seed=3):

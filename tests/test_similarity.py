@@ -10,6 +10,7 @@ from segue.catalog import Catalog, CatalogError, Track
 from segue.similarity import (
     Metric,
     NeighbourGap,
+    StartSections,
     cosine_distance,
     dcg_similarity,
     l2_distance,
@@ -263,6 +264,7 @@ def brute_force_gap(pred, catalog, metric, exclude):
         median_score=median,
         margin=best_score - median if reverse else median - best_score,
         best_cosine_distance=min(cosine_distance(pred, start) for start in starts.values()),
+        runner_up_gap=abs(best_score - ordered[1][1]) if len(ordered) > 1 else math.inf,
     )
     return ordered, gap
 
@@ -296,3 +298,55 @@ def test_one_pass_ranking_matches_scoring_one_candidate_at_a_time():
             assert gap == expected, (case, metric)
             assert ranked.entries == ordered, (case, metric)
             assert ranked.best == (gap.best_id, gap.best_score)
+    # A tie for the best score, where the smaller id comes later in catalog order;
+    # then the same tie with the smaller id excluded. "t0" is smaller still but not tied.
+    start = np.array([[0.6, 0.2, 0.2]])
+    catalog = segmented_catalog({
+        "t7": start, "t4": np.array([[0.1, 0.8, 0.1]]), "t1": start.copy(),
+        "t0": np.array([[0.3, 0.3, 0.3]]),
+    })
+    for exclude, winner in ((set(), "t1"), ({"t1"}, "t7")):
+        for metric in (Metric("cosine"), Metric("l2"), Metric("dcg"), Metric("dcg", 2)):
+            ordered, expected = brute_force_gap(start[0], catalog, metric, exclude)
+            gap = nearest_neighbour_gap(start[0], catalog, metric, exclude=exclude)
+            assert gap == expected, (exclude, metric)
+            assert gap.best_id == winner, (exclude, metric)
+            assert rank_candidates(start[0], catalog, metric, exclude=exclude).entries == ordered
+
+
+class TestRunnerUpGap:
+    """The best score's lead over the second-best candidate."""
+
+    def test_matches_a_brute_force_ranking(self):
+        rng = np.random.default_rng(15)
+        for case in range(20):
+            dim, count = int(rng.integers(2, 20)), int(rng.integers(2, 30))
+            catalog = segmented_catalog({f"t{i:02d}": rng.uniform(0, 1, (2, dim)) for i in range(count)})
+            exclude = {f"t{i:02d}" for i in range(1, count) if rng.uniform() < 0.3}
+            pred = rng.uniform(0, 1, dim)
+            starts = StartSections.of(catalog)
+            for metric in (Metric("cosine"), Metric("l2"), Metric("dcg")):
+                gap, _ = starts.gap(pred, metric, starts.mask(exclude))
+                _, expected = brute_force_gap(pred, catalog, metric, exclude)
+                assert gap == expected
+                assert gap.runner_up_gap == expected.runner_up_gap, (case, metric)
+
+    def test_tie_leads_by_zero_and_a_sole_candidate_by_infinity(self):
+        catalog = segmented_catalog({"b": np.array([[0.2, 0.8]]), "a": np.array([[0.2, 0.8]])})
+        starts = StartSections.of(catalog)
+        pred = np.array([0.5, 0.5])
+        gap, best = starts.gap(pred, Metric("l2"), starts.mask(set()))
+        assert (gap.best_id, best, gap.runner_up_gap) == ("a", 1, 0.0)
+        gap, _ = starts.gap(pred, Metric("l2"), starts.mask({"a"}))
+        assert (gap.best_id, gap.runner_up_gap) == ("b", math.inf)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_prediction_rejected(bad):
+    catalog = segmented_catalog({"a": np.array([[0.2, 0.8]]), "b": np.array([[0.7, 0.3]])})
+    pred = np.array([0.5, bad])
+    for metric in (Metric("cosine"), Metric("l2"), Metric("dcg")):
+        with pytest.raises(ValueError, match="non-finite"):
+            nearest_neighbour_gap(pred, catalog, metric)
+        with pytest.raises(ValueError, match="non-finite"):
+            rank_candidates(pred, catalog, metric)

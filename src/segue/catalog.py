@@ -133,18 +133,19 @@ class Catalog:
         for track in tracks:
             if track.id in table:
                 raise CatalogError(f"duplicate track id '{track.id}'")
-            if track.frames.ndim != 2 or track.frames.size == 0:
+            frames = track.frames
+            if not isinstance(frames, np.ndarray) or frames.ndim != 2 or frames.size == 0:
                 raise CatalogError(f"track '{track.id}': frames must be a non-empty 2-D matrix")
             if dimension is None:
-                dimension = track.frames.shape[1]
-            elif track.frames.shape[1] != dimension:
+                dimension = frames.shape[1]
+            elif frames.shape[1] != dimension:
                 raise CatalogError(
-                    f"track '{track.id}': dimension {track.frames.shape[1]} does not match "
+                    f"track '{track.id}': dimension {frames.shape[1]} does not match "
                     f"catalog dimension {dimension}"
                 )
-            if not np.isfinite(track.frames).all():
+            if not np.isfinite(frames).all():
                 raise CatalogError(f"track '{track.id}': non-finite frame element")
-            if (track.frames < 0.0).any() or (track.frames > 1.0).any():
+            if (frames < 0.0).any() or (frames > 1.0).any():
                 raise CatalogError(f"track '{track.id}': frame element outside [0, 1]")
             _validate_segments(track, dimension)
             table[track.id] = track
@@ -766,7 +767,8 @@ class TrainingPair(NamedTuple):
     """One supervised example: a context window of segment vectors and its successor.
 
     ``window`` is (N, D) with all-zero rows where ``mask`` is False (left
-    padding); ``target`` is the segment vector immediately after the window.
+    padding); ``target`` is the segment vector right after the window. From
+    ``build_training_sequences``, windows and masks are read-only: copy to write.
     """
 
     window: np.ndarray
@@ -777,10 +779,9 @@ class TrainingPair(NamedTuple):
 def build_training_sequences(catalog: Catalog, context_length: int) -> list[TrainingPair]:
     """Enumerate every within-track transition as a (window, mask, target) pair.
 
-    Windows never cross track boundaries: a track with k segments contributes
-    max(0, k - 1) pairs, one per consecutive-segment transition, with windows
-    shorter than ``context_length`` left-padded by all-zero vectors that the
-    mask excludes.
+    Windows never cross track boundaries: a track with k segments gives k - 1
+    pairs, whose windows and masks are read-only views of one array per track:
+    N-1 zero rows (left padding, which the mask excludes), then its sections.
     """
     if context_length < 1:
         raise ValueError("context_length must be >= 1")
@@ -789,13 +790,12 @@ def build_training_sequences(catalog: Catalog, context_length: int) -> list[Trai
     if not catalog.is_segmented:
         raise CatalogError("catalog is not segmented")
     pairs: list[TrainingPair] = []
+    pad = context_length - 1
     for track in catalog:
-        vectors = track.sections
-        for target in range(1, len(vectors)):
-            filled = min(target, context_length)
-            window = np.zeros((context_length, catalog.dimension))
-            mask = np.zeros(context_length, dtype=bool)
-            window[context_length - filled :] = vectors[target - filled : target]
-            mask[context_length - filled :] = True
-            pairs.append(TrainingPair(window=window, mask=mask, target=vectors[target]))
+        rows = np.zeros((pad + len(track.sections), catalog.dimension))
+        rows[pad:] = track.sections
+        real = np.arange(len(rows)) >= pad
+        rows.flags.writeable = real.flags.writeable = False
+        pairs += [TrainingPair(rows[t - 1 : t + pad], real[t - 1 : t + pad], track.sections[t])
+                  for t in range(1, len(track.sections))]
     return pairs

@@ -23,7 +23,7 @@ from .features import fit_standardizer, fold_standardizer, standardize_windows
 from .model import ModelFormatError, load_model, save_model
 from .rnn import TrainConfig, TrainingDivergedError, init_model, train
 from .segmentation import SegmentationParams, segment_catalog
-from .similarity import METRIC_NAMES, Metric
+from .similarity import DEFAULT_NN_THRESHOLD, METRIC_NAMES, Metric
 
 
 class _Parser(argparse.ArgumentParser):
@@ -120,7 +120,7 @@ def _add_generate_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--length", type=int, default=5, help="target track count (default 5)")
     parser.add_argument("--dcg-depth", type=int, default=None,
                         help="DCG ranking depth (default: feature dimension)")
-    parser.add_argument("--nn-threshold", type=float, default=playlist_mod.DEFAULT_NN_THRESHOLD,
+    parser.add_argument("--nn-threshold", type=float, default=DEFAULT_NN_THRESHOLD,
                         help="cosine distance above which a no-near-neighbour event is logged")
 
 

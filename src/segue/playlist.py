@@ -31,11 +31,9 @@ import numpy as np
 from .catalog import Catalog, CatalogError
 from .model import SequenceModel
 from .rnn import advance
-from .similarity import Metric, NeighbourGap, StartSections, cosine_distance
+from .similarity import DEFAULT_NN_THRESHOLD, Metric, NeighbourGap, StartSections, cosine_distance
 
 logger = logging.getLogger(__name__)
-
-DEFAULT_NN_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
@@ -140,7 +138,7 @@ def generate(
     if seed_id not in catalog:
         raise ValueError(f"seed track '{seed_id}' not in catalog")
     if not catalog.is_segmented:
-        raise ValueError("catalog is not segmented")
+        raise CatalogError("catalog is not segmented")
     if model.dimension != catalog.dimension:
         raise ValueError(
             f"model dimension {model.dimension} != catalog dimension {catalog.dimension}"

@@ -213,23 +213,7 @@ def lstm_step(
     x: np.ndarray, state: LstmState, model: SequenceModel
 ) -> tuple[np.ndarray, LstmState]:
     """Advance every layer by one time step; returns (top-layer hidden, new state)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.dimension,):
-        raise ValueError(f"input shape {x.shape} != ({model.dimension},)")
-    if not len(state.hidden) == len(state.cell) == model.num_layers:
-        first = min(len(state.hidden), len(state.cell), model.num_layers)
-        raise ValueError(
-            f"state layer {first}: state has {len(state.hidden)} hidden and {len(state.cell)} "
-            f"cell vectors, model has {model.num_layers} layers"
-        )
-    for index, (h, c) in enumerate(zip(state.hidden, state.cell)):
-        if np.shape(h) != (model.hidden_size,) or np.shape(c) != (model.hidden_size,):
-            raise ValueError(
-                f"state layer {index}: hidden {np.shape(h)} and cell {np.shape(c)} "
-                f"!= ({model.hidden_size},)"
-            )
-    hidden, cell = _run(model, x[None, None], np.ones((1, 1), dtype=bool), state)
-    new_state = LstmState(hidden=[h[0] for h in hidden], cell=[c[0] for c in cell])
+    _, new_state = advance(model, np.asarray(x, dtype=np.float64)[None], state)
     return new_state.hidden[-1], new_state
 
 
@@ -261,12 +245,33 @@ def advance(
 
     Returns the prediction after the last section and the state there, from
     which a later call continues: advancing by A and then by B gives the
-    prediction ``forward`` gives on A followed by B.
+    prediction ``forward`` gives on A followed by B. Raises ``ValueError``
+    when ``sections`` is not (n, D) or ``state`` does not fit the model.
     """
     sections = np.asarray(sections, dtype=np.float64)
+    if sections.ndim != 2 or sections.shape[1] != model.dimension:
+        raise ValueError(f"sections shape {sections.shape} != (n, {model.dimension})")
+    if state is not None:
+        _check_state(model, state)
     hidden, cell = _run(model, sections[None], np.ones((1, len(sections)), dtype=bool), state)
     state = LstmState(hidden=[h[0] for h in hidden], cell=[c[0] for c in cell])
     return _output(model, hidden[-1])[0], state
+
+
+def _check_state(model: SequenceModel, state: LstmState) -> None:
+    """Raise ``ValueError`` naming the first layer whose state does not fit ``model``."""
+    if not len(state.hidden) == len(state.cell) == model.num_layers:
+        first = min(len(state.hidden), len(state.cell), model.num_layers)
+        raise ValueError(
+            f"state layer {first}: state has {len(state.hidden)} hidden and {len(state.cell)} "
+            f"cell vectors, model has {model.num_layers} layers"
+        )
+    for index, (h, c) in enumerate(zip(state.hidden, state.cell)):
+        if np.shape(h) != (model.hidden_size,) or np.shape(c) != (model.hidden_size,):
+            raise ValueError(
+                f"state layer {index}: hidden {np.shape(h)} and cell {np.shape(c)} "
+                f"!= ({model.hidden_size},)"
+            )
 
 
 def _output(model: SequenceModel, h_top: np.ndarray) -> np.ndarray:

@@ -35,6 +35,8 @@ from .catalog import Catalog, CatalogError
 logger = logging.getLogger(__name__)
 
 METRIC_NAMES = ("cosine", "l2", "dcg")
+# Best cosine distance above which a playlist step has no near neighbour.
+DEFAULT_NN_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
@@ -89,7 +91,7 @@ class NeighbourGap:
     best_cosine_distance: float
     runner_up_gap: float = field(compare=False)
 
-    def no_near_neighbour(self, threshold: float = 0.5) -> bool:
+    def no_near_neighbour(self, threshold: float = DEFAULT_NN_THRESHOLD) -> bool:
         return self.best_cosine_distance > threshold
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from segue.catalog import Catalog, Track
+from segue.catalog import Catalog, Track, TrainingPair
 
 
 def segmented_track(track_id: str, vectors: np.ndarray, frames_per_segment: int = 6) -> Track:
@@ -20,6 +20,20 @@ def segmented_catalog(vectors_by_id: dict[str, np.ndarray]) -> Catalog:
     return Catalog.from_tracks(
         segmented_track(track_id, vectors) for track_id, vectors in vectors_by_id.items()
     )
+
+
+def padded_pairs(sections: np.ndarray, length: int) -> list[TrainingPair]:
+    """One track's pairs, each window zero-filled and copied on its own: the
+    reference for ``build_training_sequences``."""
+    pairs = []
+    for target in range(1, len(sections)):
+        filled = min(target, length)
+        window = np.zeros((length, sections.shape[1]))
+        mask = np.zeros(length, dtype=bool)
+        window[length - filled :] = sections[target - filled : target]
+        mask[length - filled :] = True
+        pairs.append(TrainingPair(window, mask, sections[target]))
+    return pairs
 
 
 def one_hot_block_track(

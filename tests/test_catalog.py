@@ -2,11 +2,12 @@
 
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import segmented_catalog, segmented_track
+from conftest import padded_pairs, segmented_catalog, segmented_track
 from segue import catalog as catalog_module
 from segue.catalog import (
     Catalog,
@@ -101,6 +102,50 @@ class TestLoadCatalog:
         path = tmp_path / "cat.jsonl"
         path.write_text('{"id": "a", "frame_hop": 1.0, "frames": [[0.1, NaN]]}\n')
         with pytest.raises(CatalogError):
+            load_catalog(path)
+
+    def test_blank_lines_are_skipped_and_later_lines_keep_their_numbers(self, tmp_path):
+        path = tmp_path / "cat.jsonl"
+        good = '{"id": "%s", "frame_hop": 0.5, "frames": [[0.25, 0.5]]}'
+        path.write_text(f"\n{good % 'a'}\n   \n\n{good % 'b'}\n\t\n{{not json\n")
+        with pytest.raises(CatalogError, match="^line 7: invalid JSON: "):
+            load_catalog(path)
+        path.write_text(f"\n{good % 'a'}\n   \n\n{good % 'b'}\n\t\n")
+        assert load_catalog(path).track_ids == ["a", "b"]
+
+    def test_non_ascii_character_among_layout_numbers_gets_the_json_error(self, tmp_path):
+        line = '{"id": "a", "frame_hop": 0.5, "frames": [[0.25, 0.5], [0.75, \u00bd]]}'
+        with pytest.raises(json.JSONDecodeError) as expected:
+            json.loads(line)
+        path = tmp_path / "cat.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(CatalogError) as caught:
+            load_catalog(path)
+        assert str(caught.value) == f"line 1: invalid JSON: {expected.value}"
+
+    @pytest.mark.parametrize("line", [
+        '{"id": "a", "frame_hop": 1%s, "frames": [[0.25, 0.5]]}' % ("0" * 399),
+        '{"frames": [[0.25, 0.5]], "id": "a", "frame_hop": 1%s}' % ("0" * 399),
+    ], ids=["writer's layout", "other key order"])
+    def test_integer_frame_hop_beyond_float_range_is_invalid(self, tmp_path, line):
+        path = tmp_path / "cat.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(CatalogError, match="^line 1: track 'a': invalid 'frame_hop'$"):
+            load_catalog(path)
+
+    @pytest.mark.parametrize("record", ["[1, 2]", '"track"', "0.5", "null"])
+    def test_line_that_is_not_an_object(self, tmp_path, record):
+        path = tmp_path / "cat.jsonl"
+        path.write_text('{"id": "a", "frame_hop": 0.5, "frames": [[0.25]]}\n' + record + "\n")
+        with pytest.raises(CatalogError, match="^line 2: record is not a JSON object$"):
+            load_catalog(path)
+
+    @pytest.mark.parametrize("frames", ["", ', "frames": []', ', "frames": {}', ', "frames": 0.5'],
+                             ids=["missing", "empty", "object", "number"])
+    def test_missing_or_empty_frames(self, tmp_path, frames):
+        path = tmp_path / "cat.jsonl"
+        path.write_text('{"id": "a", "frame_hop": 0.5%s}\n' % frames)
+        with pytest.raises(CatalogError, match="^line 1: track 'a': missing or empty 'frames'$"):
             load_catalog(path)
 
     def test_segments_field_round_trip(self, tmp_path):
@@ -480,6 +525,61 @@ class TestBuildTrainingSequences:
         with pytest.raises(CatalogError, match="no tracks"):
             build_training_sequences(Catalog(dimension=2, tracks={}), 2)
 
+    @pytest.mark.parametrize("length", [0, -1])
+    def test_context_length_below_one_rejected(self, length):
+        catalog = segmented_catalog({"a": np.full((2, 2), 0.5)})
+        with pytest.raises(ValueError, match="context_length must be >= 1"):
+            build_training_sequences(catalog, length)
+
+    @pytest.mark.parametrize("length", [1, 2, 5, 9, 12])
+    def test_pairs_equal_windows_padded_one_at_a_time(self, length):
+        rng = np.random.default_rng(length)
+        catalog = segmented_catalog({
+            f"t{i}": rng.uniform(0, 1, (int(rng.integers(1, 11)), 3)) for i in range(6)
+        })
+        pairs = build_training_sequences(catalog, length)
+        expected = [pair for track in catalog for pair in padded_pairs(track.sections, length)]
+        assert len(pairs) == len(expected)
+        for pair, oracle in zip(pairs, expected):
+            for found, wanted in zip(pair, oracle):
+                assert found.dtype == wanted.dtype and found.shape == wanted.shape
+                assert found.tobytes() == wanted.tobytes()
+
+    def test_windows_are_read_only_views_of_one_array_per_track(self):
+        rng = np.random.default_rng(3)
+        catalog = segmented_catalog({f"t{i}": rng.uniform(0, 1, (9, 4)) for i in range(3)})
+        pairs = build_training_sequences(catalog, 5)
+        bases = []
+        for track_pairs in (pairs[0:8], pairs[8:16], pairs[16:24]):
+            rows, real = track_pairs[0].window.base, track_pairs[0].mask.base
+            assert rows.shape == (4 + 9, 4) and real.shape == (4 + 9,)
+            for window, mask, _ in track_pairs:
+                assert window.base is rows and mask.base is real
+                assert np.shares_memory(window, rows) and np.shares_memory(mask, real)
+            bases.append(rows)
+        assert not any(np.shares_memory(a, b) for a, b in zip(bases, bases[1:]))
+        window, mask, _ = pairs[3]
+        with pytest.raises(ValueError, match="read-only"):
+            window[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            mask[0] = True
+
+    def test_pairs_hold_little_more_than_the_padded_tracks(self):
+        tracks, length, sections, dimension = 200, 50, 9, 50
+        rng = np.random.default_rng(11)
+        catalog = segmented_catalog({
+            f"t{i:03d}": rng.uniform(0, 1, (sections, dimension)) for i in range(tracks)
+        })
+        padded = tracks * (length - 1 + sections) * (dimension * 8 + 1)  # rows and mask
+        tracemalloc.start()
+        try:
+            pairs = build_training_sequences(catalog, length)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(pairs) == tracks * (sections - 1)
+        assert held < 2 * padded
+
 
 class TestTrackValidation:
     def test_segment_start_outside_range(self):
@@ -512,6 +612,15 @@ class TestTrackValidation:
     def test_track_value_above_one(self):
         with pytest.raises(CatalogError, match=r"\[0, 1\]"):
             Catalog.from_tracks([Track(id="a", frames=np.array([[1.2]]))])
+
+    def test_no_tracks(self):
+        with pytest.raises(CatalogError, match="^catalog has no tracks$"):
+            Catalog.from_tracks([])
+
+    @pytest.mark.parametrize("frames", [[[0.5]], None, "0.5"], ids=["list", "None", "text"])
+    def test_frames_that_are_not_an_array(self, frames):
+        with pytest.raises(CatalogError, match="^track 'a': frames must be a non-empty 2-D matrix$"):
+            Catalog.from_tracks([Track(id="a", frames=frames)])
 
 
 class TestWholeChecks:

@@ -165,6 +165,14 @@ class TestExitCodes:
         assert "metric 'cosine' is given more than once" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_compare_without_metric_names_is_data_error(self, capsys, tmp_path):
+        out = tmp_path / "x.json"
+        code = run(["compare", "-i", str(tmp_path / "absent.jsonl"), "-m", str(tmp_path / "absent.sgm"),
+                    "--seed-track", "t00", "--metrics", ",", "-o", str(out)])
+        assert code == 2
+        assert "no metrics given" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_generate_checks_metric_before_reading_files(self, capsys, tmp_path):
         code = run(["generate", "-i", str(tmp_path / "absent.jsonl"), "-m", str(tmp_path / "absent.sgm"),
                     "--seed-track", "t00", "--metric", "dcg", "--dcg-depth", "0",

@@ -222,12 +222,22 @@ class TestSyntheticCatalog:
         dict(cluster_count=5, track_count=3),
         dict(segment_range=(3, 2)),
         dict(noise=-0.1),
+        dict(strong_dims=0),
     ])
     def test_infeasible_specs_rejected(self, kwargs):
         base = dict(track_count=4, cluster_count=2, dimension=12, strong_dims=2, weak_dims=2)
         base.update(kwargs)
         with pytest.raises(ValueError):
             SynthSpec(**base)
+
+    def test_strong_dimensions_overlap_when_clusters_do_not_fit_apart(self):
+        # 3 clusters x 3 strong dimensions need 9 > 8: each cluster draws its own set
+        spec = SynthSpec(track_count=6, cluster_count=3, dimension=8, strong_dims=3,
+                         weak_dims=2, seed=4, segment_range=(2, 3), frames_per_segment=(4, 6))
+        catalog = generate_synthetic_catalog(spec)
+        rebuilt = Catalog.from_tracks(list(catalog))  # every check of the walk passes
+        assert rebuilt.dimension == 8 and rebuilt.track_ids == catalog.track_ids
+        assert all(track.frames.shape[1] == 8 for track in catalog)
 
     def test_values_stay_in_unit_interval_under_heavy_noise(self):
         spec = SynthSpec(track_count=3, cluster_count=1, dimension=6, strong_dims=2,

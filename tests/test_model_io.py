@@ -191,6 +191,29 @@ class TestCorruption:
         with pytest.raises(ModelCorruptError):
             load_model(path)
 
+    def test_truncated_header(self, tmp_path):
+        path = tmp_path / "model.sgm"
+        path.write_bytes(b"SGM1" + struct.pack("<3I", 2, 8, 5))
+        with pytest.raises(ModelCorruptError, match="^truncated header$"):
+            load_model(path)
+
+    @pytest.mark.parametrize("header", [(0, 8, 5, 0), (2, 0, 5, 0), (2, 8, 0, 0)])
+    def test_zero_in_the_header_is_an_invalid_header(self, tmp_path, header):
+        path = tmp_path / "model.sgm"
+        path.write_bytes(b"SGM1" + struct.pack("<4I", *header) + bytes(400))
+        layers, hidden, dim, _ = header
+        with pytest.raises(ModelShapeError) as caught:
+            load_model(path)
+        assert str(caught.value) == f"invalid header (L={layers}, H={hidden}, D={dim})"
+
+    def test_file_cut_after_a_block_is_truncated_before_the_next(self, small_model, tmp_path):
+        path = tmp_path / "model.sgm"
+        save_model(small_model, path)
+        first_block = 4 + 8 * 8 * 5  # count, then the input gate's (H, D) input weights
+        path.write_bytes(path.read_bytes()[: 20 + first_block])
+        with pytest.raises(ModelCorruptError, match="^truncated before block 'layer0.input.w_h'$"):
+            load_model(path)
+
     def test_non_finite_parameter_rejected_on_save(self, small_model, tmp_path):
         small_model.w_out[0, 0] = np.nan
         with pytest.raises(ModelShapeError, match="non-finite"):
@@ -218,3 +241,16 @@ class TestStructure:
         small_model.layers[1].w_h = np.zeros((3, 3))
         with pytest.raises(ModelShapeError, match="layer1.w_h"):
             small_model.validate()
+
+    def test_validate_refuses_a_model_without_layers(self, small_model):
+        small_model.layers = []
+        with pytest.raises(ModelShapeError, match="at least one layer"):
+            small_model.validate()
+
+    def test_equals_compares_layer_count_and_context_length(self, small_model):
+        fewer = small_model.copy()
+        fewer.layers = fewer.layers[:1]
+        assert not fewer.equals(small_model) and not small_model.equals(fewer)
+        other_context = small_model.copy()
+        other_context.context_length = 7
+        assert not other_context.equals(small_model)

@@ -1,13 +1,14 @@
 """Generation loop contracts, transition-matrix export, and coherence diagnostics."""
 
 import dataclasses
-
+import inspect
 import logging
 
 import numpy as np
 import pytest
 
 from conftest import segmented_catalog
+from segue import cli, playlist, similarity
 from segue import rnn as rnn_mod
 from segue.catalog import Catalog, CatalogError, Track
 from segue.playlist import (
@@ -177,6 +178,22 @@ class TestGenerate:
     def test_zero_length_rejected(self):
         with pytest.raises(ValueError, match="length"):
             generate(make_catalog(), make_model(), "t00", 0, Metric("l2"))
+
+    def test_unsegmented_catalog_is_a_catalog_error(self):
+        catalog = Catalog.from_tracks(
+            Track(id=track.id, frames=track.frames) for track in make_catalog()
+        )
+        with pytest.raises(CatalogError, match="^catalog is not segmented$"):
+            generate(catalog, make_model(), "t00", 3, Metric("l2"))
+
+    def test_one_no_near_neighbour_default(self):
+        default = similarity.DEFAULT_NN_THRESHOLD
+        assert playlist.DEFAULT_NN_THRESHOLD is default
+        assert inspect.signature(generate).parameters["nn_threshold"].default is default
+        method = similarity.NeighbourGap.no_near_neighbour
+        assert inspect.signature(method).parameters["threshold"].default is default
+        command = "generate -i c -m m --seed-track t --metric l2 -o o".split()
+        assert cli.build_parser().parse_args(command).nn_threshold is default
 
     @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_nn_threshold_rejected(self, threshold):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import padded_pairs
 from segue import rnn as rnn_module
 from segue.catalog import TrainingPair
 from segue.model import GATES
@@ -112,6 +113,11 @@ def batch_loss(model, batch):
 
 
 class TestInitModel:
+    @pytest.mark.parametrize("shape", [(0, 4, 3), (2, 0, 3), (2, 4, 0)])
+    def test_sizes_below_one_rejected(self, shape):
+        with pytest.raises(ValueError, match="must be positive"):
+            init_model(*shape)
+
     def test_parameter_count_formula_small(self):
         model = init_model(2, 4, 3, seed=0)
         expected = 4 * (4 * 3 + 16 + 4) + 4 * (16 + 16 + 4) + 3 * 4 + 3
@@ -185,19 +191,42 @@ class TestLstmStep:
         with pytest.raises(ValueError, match="shape"):
             lstm_step(np.zeros(5), zero_state(model), model)
 
+    # ``lstm_step`` is a one-row ``advance``; both refuse a state that does not fit.
+    STEPPERS = {
+        "lstm_step": lambda model, state: lstm_step(np.zeros(model.dimension), state, model),
+        "advance": lambda model, state: advance(model, np.zeros((2, model.dimension)), state),
+    }
+
+    @pytest.mark.parametrize("step", STEPPERS)
     @pytest.mark.parametrize("layers", [1, 3])
-    def test_state_with_wrong_layer_count_rejected(self, layers):
+    def test_state_with_wrong_layer_count_rejected(self, layers, step):
         model = init_model(2, 3, 2, seed=0)
         state = LstmState(hidden=[np.zeros(3)] * layers, cell=[np.zeros(3)] * layers)
         with pytest.raises(ValueError, match=f"state layer {min(layers, 2)}: state has {layers}"):
-            lstm_step(np.zeros(2), state, model)
+            self.STEPPERS[step](model, state)
 
-    def test_state_with_wrong_hidden_size_rejected(self):
+    @pytest.mark.parametrize("step", STEPPERS)
+    def test_state_with_wrong_hidden_size_rejected(self, step):
         model = init_model(2, 3, 2, seed=0)
         state = zero_state(model)
         state.cell[1] = np.zeros(4)
         with pytest.raises(ValueError, match=r"state layer 1: .*\(3,\)"):
-            lstm_step(np.zeros(2), state, model)
+            self.STEPPERS[step](model, state)
+
+    @pytest.mark.parametrize("step", STEPPERS)
+    @pytest.mark.parametrize("layers", [2, 3])
+    def test_state_of_one_element_vectors_is_not_broadcast(self, layers, step):
+        model = init_model(2, 8, 3, seed=0)
+        state = LstmState(hidden=[np.zeros(1)] * layers, cell=[np.zeros(1)] * layers)
+        expected = r"state layer 0: hidden \(1,\)" if layers == 2 else "state layer 2: state has 3"
+        with pytest.raises(ValueError, match=expected):
+            self.STEPPERS[step](model, state)
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 4), (1, 2, 3), (0,)])
+    def test_advance_rejects_sections_of_the_wrong_shape(self, shape):
+        model = init_model(2, 8, 3, seed=0)
+        with pytest.raises(ValueError, match=r"sections shape .* != \(n, 3\)"):
+            advance(model, np.zeros(shape))
 
 
 class TestForward:
@@ -246,6 +275,12 @@ class TestForward:
         model = init_model(1, 3, 2, seed=0)
         with pytest.raises(ValueError, match="mask length"):
             forward(model, np.zeros((3, 2)), np.ones(2, dtype=bool))
+
+    @pytest.mark.parametrize("shape", [(3, 5), (3,), (1, 2, 3, 2)])
+    def test_window_of_the_wrong_shape_rejected(self, shape):
+        model = init_model(1, 3, 2, seed=0)
+        with pytest.raises(ValueError, match=r"window shape .* incompatible with dimension 2"):
+            forward(model, np.zeros(shape))
 
 
 class TestLossAndGradients:
@@ -323,24 +358,11 @@ def random_batch(rng, length, dimension, size):
     return batch
 
 
-def nested_windows(sections, length):
-    """Left-padded windows of every transition of one track, as ``build_training_sequences``."""
-    pairs = []
-    for target in range(1, len(sections)):
-        filled = min(target, length)
-        window = np.zeros((length, sections.shape[1]))
-        mask = np.zeros(length, dtype=bool)
-        window[length - filled :] = sections[target - filled : target]
-        mask[length - filled :] = True
-        pairs.append(TrainingPair(window, mask, sections[target]))
-    return pairs
-
-
 def nested_batch(rng, length, dimension):
     """Prefixes of one track (some sliding past the context), a duplicate, a gapped prefix,
     a fully masked item and an unrelated item, shuffled."""
     sections = rng.uniform(0, 1, (length + 2, dimension))
-    batch = nested_windows(sections, length)
+    batch = padded_pairs(sections, length)
     batch.append(batch[1])
     gapped = np.zeros((length, dimension))
     mask = np.zeros(length, dtype=bool)
@@ -394,7 +416,7 @@ class TestNestedWindows:
         # 16 pairs with (1 + ... + 6) + (1 + ... + 10) = 76 real steps, 6 + 10 distinct.
         rng = np.random.default_rng(79)
         batch = [pair for count in (7, 11)
-                 for pair in nested_windows(rng.uniform(0, 1, (count, 3)), 50)]
+                 for pair in padded_pairs(rng.uniform(0, 1, (count, 3)), 50)]
         batch = [batch[index] for index in rng.permutation(len(batch))]
         assert len(batch) == 16 and sum(int(pair.mask.sum()) for pair in batch) == 76
         counts = counted_positions(monkeypatch)
@@ -755,6 +777,19 @@ class TestTrain:
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["context_length", "epochs", "batch_size"])
+    def test_config_rejects_counts_below_one(self, field):
+        with pytest.raises(ValueError, match="must be positive"):
+            TrainConfig(**{field: 0})
+
+    def test_config_rejects_an_unknown_optimizer(self):
+        with pytest.raises(ValueError, match="unknown optimizer 'rmsprop'"):
+            TrainConfig(optimizer="rmsprop")
+
+    def test_no_pairs_rejected(self):
+        with pytest.raises(ValueError, match="no training sequences"):
+            train(init_model(1, 2, 2, seed=0), [], TrainConfig(context_length=2, epochs=1))
+
     def test_infinite_clip_norm_never_clips(self, caplog):
         pairs = toy_pairs(count=6, context=3, dimension=4, seed=4)
         config = TrainConfig(context_length=3, epochs=2, batch_size=4, seed=4, clip_norm=math.inf)
@@ -850,3 +885,9 @@ class TestPredictNext:
         model = init_model(1, 2, 2, seed=0)
         with pytest.raises(ValueError, match="context length"):
             predict_next(model, np.zeros((1, 2)))
+
+    def test_wrong_width_rejected(self):
+        model = init_model(1, 2, 2, seed=0)
+        model.context_length = 2
+        with pytest.raises(ValueError, match="segment dimension 3 != model dimension 2"):
+            predict_next(model, np.zeros((1, 3)))

@@ -169,6 +169,11 @@ class TestCheckerboardKernel:
         with pytest.raises(ValueError, match="even"):
             checkerboard_kernel(5, 1.0)
 
+    @pytest.mark.parametrize("sigma", [0.0, -1.0])
+    def test_sigma_below_or_at_zero_rejected(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            checkerboard_kernel(4, sigma)
+
 
 class TestNoveltyCurve:
     def test_homogeneous_similarity_gives_zero_novelty(self):
@@ -308,6 +313,15 @@ class TestParams:
         with pytest.raises(ValueError, match=field):
             SegmentationParams(**{field: value})
 
+    @pytest.mark.parametrize("size", [3, 0, -2])
+    def test_kernel_size_must_be_even_and_at_least_two(self, size):
+        with pytest.raises(ValueError, match="kernel_size must be an even integer >= 2"):
+            SegmentationParams(kernel_size=size)
+
+    def test_min_segment_length_below_one_rejected(self):
+        with pytest.raises(ValueError, match="min_segment_length must be >= 1"):
+            SegmentationParams(min_segment_length=0)
+
 
 class TestSegmentTrack:
     def test_homogeneous_track_yields_one_segment(self):
@@ -358,6 +372,10 @@ class TestSegmentTrack:
         np.testing.assert_allclose(
             novelty_curve(noisy.frames, params), novelty_curve(permuted.frames, params), atol=1e-12
         )
+
+    def test_track_without_frames_rejected(self):
+        with pytest.raises(ValueError, match="track 'empty' has no frames"):
+            segment_track(Track(id="empty", frames=np.zeros((0, 3))))
 
     def test_single_frame_track_becomes_one_section(self):
         track = segment_track(Track(id="t", frames=np.array([[0.5, 1.0]])))

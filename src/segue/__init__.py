@@ -22,7 +22,6 @@ from .features import (
     fit_standardizer,
     fold_standardizer,
     generate_synthetic_catalog,
-    standardize_windows,
 )
 from .model import (
     LstmLayerParams,
@@ -129,7 +128,6 @@ __all__ = [
     "save_model",
     "segment_catalog",
     "segment_track",
-    "standardize_windows",
     "train",
     "write_transition_csv",
     "zero_state",

@@ -48,11 +48,14 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .files import atomic_output
+
+if TYPE_CHECKING:
+    from .features import StandardizationStats
 
 
 class CatalogError(ValueError):
@@ -118,7 +121,7 @@ class Catalog:
 
     @classmethod
     def from_tracks(cls, tracks: Iterable[Track]) -> "Catalog":
-        """Build a catalog from tracks, validating ids, dimensions, and value range.
+        """Build a catalog from tracks, validating ids, frame hops, dimensions, and values.
 
         The checks run whole first (``_checked_whole``). Only when one of them
         fails are the tracks walked one at a time, so the error raised is the
@@ -131,6 +134,9 @@ class Catalog:
             return cls(dimension=dimension, tracks=table)
         table = {}
         for track in tracks:
+            bad = _bad_header(track.id, track.frame_hop)
+            if bad:
+                raise CatalogError(f"track {track.id!r}: {bad}")
             if track.id in table:
                 raise CatalogError(f"duplicate track id '{track.id}'")
             frames = track.frames
@@ -157,11 +163,11 @@ class Catalog:
 def _checked_whole(tracks: list[Track]) -> int | None:
     """The catalog dimension if every track passes ``from_tracks``' checks; else None.
 
-    Ids were counted by the caller, and shapes and dtypes are checked per
-    track. Values are checked once per distinct array that the tracks' rows
-    live in (``_holder``), and every section start against its track's frame
-    count in one concatenated pass. None only means that some check did not
-    pass whole.
+    Ids were counted by the caller; ids, frame hops, shapes and dtypes are
+    checked per track. Values are checked once per distinct array that the
+    tracks' rows live in (``_holder``), and every section start against its
+    track's frame count in one concatenated pass. None only means that some
+    check did not pass whole.
     """
     if not tracks or not isinstance(tracks[0].frames, np.ndarray) or tracks[0].frames.ndim != 2:
         return None
@@ -170,6 +176,8 @@ def _checked_whole(tracks: list[Track]) -> int | None:
     starts, frame_counts = [], []
     for track in tracks:
         frames, sections = track.frames, track.sections
+        if _bad_header(track.id, track.frame_hop):
+            return None
         if not (isinstance(frames, np.ndarray) and frames.dtype == np.float64
                 and frames.ndim == 2 and frames.size and frames.shape[1] == dimension):
             return None
@@ -241,6 +249,24 @@ def _validate_segments(track: Track, dimension: int) -> None:
 def _is_int(value: object) -> bool:
     """An integer that is not a bool (JSON ``true`` loads as a Python int subclass)."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+_BAD_ID = "missing or invalid 'id'"
+
+
+def _bad_header(track_id: object, frame_hop: object) -> str | None:
+    """What ``load_catalog`` refuses in a track's id or frame hop; None if both are valid.
+
+    An id is a non-empty string; a frame hop is a finite float or a non-bool
+    integer within float range.
+    """
+    if not isinstance(track_id, str) or not track_id:
+        return _BAD_ID
+    try:
+        valid = (_is_int(frame_hop) or isinstance(frame_hop, float)) and math.isfinite(frame_hop)
+    except OverflowError:  # an integer beyond float range
+        valid = False
+    return None if valid else "invalid 'frame_hop'"
 
 
 def load_catalog(path: str | Path) -> Catalog:
@@ -319,8 +345,10 @@ def _parse_record(record: object, lineno: int, booleans: bool = True) -> Track:
     if not isinstance(record, dict):
         raise CatalogError(f"line {lineno}: record is not a JSON object")
     track_id = record.get("id")
-    if not isinstance(track_id, str) or not track_id:
-        raise CatalogError(f"line {lineno}: missing or invalid 'id'")
+    frame_hop = record.get("frame_hop", 1.0)
+    bad = _bad_header(track_id, frame_hop)
+    if bad == _BAD_ID:
+        raise CatalogError(f"line {lineno}: {bad}")
     where = f"line {lineno}: track '{track_id}'"
     raw_frames = record.get("frames")
     if not isinstance(raw_frames, list) or not raw_frames:
@@ -335,13 +363,8 @@ def _parse_record(record: object, lineno: int, booleans: bool = True) -> Track:
         raise CatalogError(f"{where}: frame value beyond float range") from None
     if frames.ndim != 2:
         raise CatalogError(f"{where}: frame dimension mismatch")
-    frame_hop = record.get("frame_hop", 1.0)
-    try:
-        valid = (_is_int(frame_hop) or isinstance(frame_hop, float)) and math.isfinite(frame_hop)
-    except OverflowError:  # an integer beyond float range
-        valid = False
-    if not valid:
-        raise CatalogError(f"{where}: invalid 'frame_hop'")
+    if bad:
+        raise CatalogError(f"{where}: {bad}")
     raw_segments = record.get("segments", [])
     if not isinstance(raw_segments, list):
         raise CatalogError(f"{where}: invalid 'segments'")
@@ -767,8 +790,8 @@ class TrainingPair(NamedTuple):
     """One supervised example: a context window of segment vectors and its successor.
 
     ``window`` is (N, D) with all-zero rows where ``mask`` is False (left
-    padding); ``target`` is the segment vector right after the window. From
-    ``build_training_sequences``, windows and masks are read-only: copy to write.
+    padding); ``target`` is the raw segment vector right after the window.
+    Windows and masks from ``build_training_sequences`` are read-only views.
     """
 
     window: np.ndarray
@@ -776,12 +799,15 @@ class TrainingPair(NamedTuple):
     target: np.ndarray
 
 
-def build_training_sequences(catalog: Catalog, context_length: int) -> list[TrainingPair]:
+def build_training_sequences(
+    catalog: Catalog, context_length: int, stats: StandardizationStats | None = None
+) -> list[TrainingPair]:
     """Enumerate every within-track transition as a (window, mask, target) pair.
 
     Windows never cross track boundaries: a track with k segments gives k - 1
     pairs, whose windows and masks are read-only views of one array per track:
-    N-1 zero rows (left padding, which the mask excludes), then its sections.
+    N-1 zero rows (left padding, which the mask excludes), then its sections,
+    z-scored by ``stats`` when given. Targets are always the raw sections.
     """
     if context_length < 1:
         raise ValueError("context_length must be >= 1")
@@ -793,7 +819,7 @@ def build_training_sequences(catalog: Catalog, context_length: int) -> list[Trai
     pad = context_length - 1
     for track in catalog:
         rows = np.zeros((pad + len(track.sections), catalog.dimension))
-        rows[pad:] = track.sections
+        rows[pad:] = track.sections if stats is None else stats.apply(track.sections)
         real = np.arange(len(rows)) >= pad
         rows.flags.writeable = real.flags.writeable = False
         pairs += [TrainingPair(rows[t - 1 : t + pad], real[t - 1 : t + pad], track.sections[t])

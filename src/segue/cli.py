@@ -19,7 +19,7 @@ from pathlib import Path
 from . import playlist as playlist_mod
 from .catalog import CatalogError, build_training_sequences, load_catalog, save_catalog
 from .features import SynthSpec, generate_synthetic_catalog
-from .features import fit_standardizer, fold_standardizer, standardize_windows
+from .features import fit_standardizer, fold_standardizer
 from .model import ModelFormatError, load_model, save_model
 from .rnn import TrainConfig, TrainingDivergedError, init_model, train
 from .segmentation import SegmentationParams, segment_catalog
@@ -209,10 +209,8 @@ def _run_train(args: argparse.Namespace) -> int:
         clip_norm=args.clip_norm,
     )
     catalog = load_catalog(args.input)
-    sequences = build_training_sequences(catalog, config.context_length)
     stats = fit_standardizer(catalog) if args.standardize else None
-    if stats is not None:
-        sequences = standardize_windows(sequences, stats)
+    sequences = build_training_sequences(catalog, config.context_length, stats)
     model = init_model(args.layers, args.hidden, catalog.dimension, seed=args.seed)
     trained, report = train(model, sequences, config)
     if stats is not None:

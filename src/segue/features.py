@@ -1,9 +1,11 @@
 """Training-side standardization and a synthetic catalog generator.
 
-Standardization is opt-in, for training only, and known only here: the
-windows are z-scored while the targets stay in [0, 1], where the sigmoid head
-reaches them, and ``fold_standardizer`` then moves the statistics into the
-model's first layer, so the saved model takes raw [0, 1] sections like any other.
+Standardization is opt-in and for training only: ``fit_standardizer``'s
+statistics go to ``build_training_sequences``, which z-scores each track's
+sections once for its windows while the targets stay in [0, 1], where the
+sigmoid head reaches them, and ``fold_standardizer`` then moves the statistics
+into the model's first layer, so the saved model takes raw [0, 1] sections
+like any other.
 
 The synthetic generator plants the structure the engine is built around: each
 track has a handful of consistently strong dimensions (shared within a cluster
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import Catalog, Track, TrainingPair
+from .catalog import Catalog, CatalogError, Track
 from .model import SequenceModel
 
 STRONG_LEVEL = 0.8
@@ -48,21 +50,11 @@ class StandardizationStats:
 def fit_standardizer(catalog: Catalog) -> StandardizationStats:
     """Compute per-dimension statistics over all segment vectors in the catalog."""
     if not catalog.is_segmented:
-        raise ValueError("catalog must be segmented before standardization")
+        raise CatalogError("catalog is not segmented")
     pooled = np.vstack([track.sections for track in catalog])
     if pooled.shape[0] < 2:
         raise ValueError("standardization needs at least 2 segment vectors")
     return StandardizationStats(mean=pooled.mean(axis=0), std=pooled.std(axis=0))
-
-
-def standardize_windows(
-    pairs: list[TrainingPair], stats: StandardizationStats
-) -> list[TrainingPair]:
-    """Z-score the real rows of every window; padding stays zero, targets are kept as they are."""
-    return [
-        pair._replace(window=np.where(pair.mask[:, None], stats.apply(pair.window), 0.0))
-        for pair in pairs
-    ]
 
 
 def fold_standardizer(model: SequenceModel, stats: StandardizationStats) -> SequenceModel:

@@ -38,13 +38,19 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class PlaylistStep:
-    """One selection: the prediction that drove it and what was chosen."""
+    """One selection: the prediction that drove it and the scoring whose best is chosen."""
 
     prediction: np.ndarray
-    chosen_id: str
-    chosen_score: float
     gap: NeighbourGap
     no_near_neighbour: bool
+
+    @property
+    def chosen_id(self) -> str:
+        return self.gap.best_id
+
+    @property
+    def chosen_score(self) -> float:
+        return self.gap.best_score
 
 
 @dataclass
@@ -89,8 +95,6 @@ class Playlist:
             steps = [
                 PlaylistStep(
                     prediction=np.asarray(entry["prediction"], dtype=np.float64),
-                    chosen_id=entry["chosen"],
-                    chosen_score=entry["score"],
                     gap=NeighbourGap(
                         best_id=entry["chosen"],
                         best_score=entry["score"],
@@ -186,15 +190,7 @@ def generate(
                 step, time.perf_counter() - began, len(catalog) - len(chosen),
                 gap.margin, gap.runner_up_gap, gap.best_cosine_distance, event,
             )
-        steps.append(
-            PlaylistStep(
-                prediction=prediction,
-                chosen_id=gap.best_id,
-                chosen_score=gap.best_score,
-                gap=gap,
-                no_near_neighbour=event,
-            )
-        )
+        steps.append(PlaylistStep(prediction=prediction, gap=gap, no_near_neighbour=event))
         used[best] = True
         chosen.append(gap.best_id)
         pending = catalog.tracks[gap.best_id].sections

@@ -21,7 +21,6 @@ from segue.features import (
     fit_standardizer,
     fold_standardizer,
     generate_synthetic_catalog,
-    standardize_windows,
 )
 from segue.model import load_model, save_model
 from segue.playlist import export_transition_matrix, generate
@@ -379,7 +378,9 @@ def test_standardized_training_on_the_desk_config(cluster_pipeline):
     """
     catalog, pairs = cluster_pipeline["catalog"], cluster_pipeline["pairs"]
     stats = fit_standardizer(catalog)
-    standardized = standardize_windows(pairs, stats)
+    standardized = build_training_sequences(
+        catalog, cluster_pipeline["config"].context_length, stats
+    )
     assert all(
         scaled.target.tobytes() == plain.target.tobytes()
         for scaled, plain in zip(standardized, pairs, strict=True)

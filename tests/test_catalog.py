@@ -17,7 +17,7 @@ from segue.catalog import (
     load_catalog,
     save_catalog,
 )
-from segue.features import SynthSpec, generate_synthetic_catalog
+from segue.features import SynthSpec, fit_standardizer, generate_synthetic_catalog
 from segue.segmentation import segment_catalog
 
 
@@ -321,6 +321,23 @@ class TestSaveCatalog:
             save_catalog(Catalog(dimension=2, tracks={"bad": track}), path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("track_id, frame_hop, message", [
+        ("", 0.5, "track '': missing or invalid 'id'"),
+        (7, 0.5, "track 7: missing or invalid 'id'"),
+        ("bad", True, "track 'bad': invalid 'frame_hop'"),
+        ("bad", float("nan"), "track 'bad': invalid 'frame_hop'"),
+        ("bad", 10**400, "track 'bad': invalid 'frame_hop'"),
+    ], ids=["empty id", "integer id", "boolean hop", "NaN hop", "hop beyond float range"])
+    def test_header_that_would_not_load_is_not_written(self, tmp_path, track_id, frame_hop,
+                                                       message):
+        good = Track(id="good", frames=np.full((2, 2), 0.5))
+        bad = Track(id=track_id, frames=np.full((2, 2), 0.5), frame_hop=frame_hop)
+        path = tmp_path / "nope.jsonl"
+        with pytest.raises(CatalogError) as caught:
+            save_catalog(Catalog(dimension=2, tracks={"good": good, "bad": bad}), path)
+        assert str(caught.value) == message
+        assert not path.exists()
+
 
 def _written(values: np.ndarray) -> str:
     handle = io.BytesIO()
@@ -545,10 +562,12 @@ class TestBuildTrainingSequences:
                 assert found.dtype == wanted.dtype and found.shape == wanted.shape
                 assert found.tobytes() == wanted.tobytes()
 
-    def test_windows_are_read_only_views_of_one_array_per_track(self):
+    @staticmethod
+    def _assert_read_only_views_of_one_array_per_track(standardize):
         rng = np.random.default_rng(3)
         catalog = segmented_catalog({f"t{i}": rng.uniform(0, 1, (9, 4)) for i in range(3)})
-        pairs = build_training_sequences(catalog, 5)
+        stats = fit_standardizer(catalog) if standardize else None
+        pairs = build_training_sequences(catalog, 5, stats)
         bases = []
         for track_pairs in (pairs[0:8], pairs[8:16], pairs[16:24]):
             rows, real = track_pairs[0].window.base, track_pairs[0].mask.base
@@ -564,21 +583,56 @@ class TestBuildTrainingSequences:
         with pytest.raises(ValueError, match="read-only"):
             mask[0] = True
 
-    def test_pairs_hold_little_more_than_the_padded_tracks(self):
+    def test_windows_are_read_only_views_of_one_array_per_track(self):
+        self._assert_read_only_views_of_one_array_per_track(standardize=False)
+
+    def test_standardized_windows_are_read_only_views_of_one_array_per_track(self):
+        self._assert_read_only_views_of_one_array_per_track(standardize=True)
+
+    @staticmethod
+    def _held_by_pairs(standardize):
+        """Bytes the pairs hold under tracemalloc, and their padded arrays' bytes."""
         tracks, length, sections, dimension = 200, 50, 9, 50
         rng = np.random.default_rng(11)
         catalog = segmented_catalog({
             f"t{i:03d}": rng.uniform(0, 1, (sections, dimension)) for i in range(tracks)
         })
+        stats = fit_standardizer(catalog) if standardize else None
         padded = tracks * (length - 1 + sections) * (dimension * 8 + 1)  # rows and mask
         tracemalloc.start()
         try:
-            pairs = build_training_sequences(catalog, length)
+            pairs = build_training_sequences(catalog, length, stats)
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert len(pairs) == tracks * (sections - 1)
+        return held, padded
+
+    def test_pairs_hold_little_more_than_the_padded_tracks(self):
+        held, padded = self._held_by_pairs(standardize=False)
         assert held < 2 * padded
+
+    def test_standardized_pairs_hold_little_more_than_the_padded_tracks(self):
+        # a z-scored copy of every window would hold about 7x the padded arrays
+        held, padded = self._held_by_pairs(standardize=True)
+        assert held < 2 * padded
+
+    @pytest.mark.parametrize("length", [1, 2, 5, 9, 12])
+    def test_standardized_pairs_equal_padded_windows_z_scored(self, length):
+        rng = np.random.default_rng(length)
+        tracks = {f"t{i}": rng.uniform(0, 1, (int(rng.integers(1, 11)), 3)) for i in range(6)}
+        for sections in tracks.values():
+            sections[:, 2] = 0.3  # a constant dimension: z-scores of +-0.0
+        catalog = segmented_catalog(tracks)
+        stats = fit_standardizer(catalog)
+        pairs = build_training_sequences(catalog, length, stats)
+        expected = [pair for track in catalog for pair in padded_pairs(track.sections, length)]
+        assert len(pairs) == len(expected)
+        for pair, oracle in zip(pairs, expected):
+            z_scored = np.where(oracle.mask[:, None], stats.apply(oracle.window), 0.0)
+            for found, wanted in zip(pair, oracle._replace(window=z_scored)):
+                assert found.dtype == wanted.dtype and found.shape == wanted.shape
+                assert found.tobytes() == wanted.tobytes()
 
 
 class TestTrackValidation:
@@ -658,9 +712,15 @@ class TestWholeChecks:
          "track 'b': dimension 3 does not match catalog dimension 2"),
         (lambda t: setattr(t[2], "starts", np.array([0, 1], dtype=np.uint8)), None),
         (lambda t: setattr(t[2], "frames", np.full((2, 2), 0.25, dtype=np.float32)), None),
+        (lambda t: setattr(t[1], "id", ""), "track '': missing or invalid 'id'"),
+        (lambda t: setattr(t[1], "id", 7), "track 7: missing or invalid 'id'"),
+        (lambda t: setattr(t[2], "frame_hop", True), "track 'c': invalid 'frame_hop'"),
+        (lambda t: setattr(t[2], "frame_hop", float("nan")), "track 'c': invalid 'frame_hop'"),
+        (lambda t: setattr(t[0], "frame_hop", 10**400), "track 'a': invalid 'frame_hop'"),
     ], ids=["frame NaN", "section above 1", "section below 0", "start past the end",
             "negative start", "repeated start", "duplicate id", "other dimension",
-            "uint8 starts", "float32 frames"])
+            "uint8 starts", "float32 frames", "empty id", "integer id", "boolean hop",
+            "NaN hop", "hop beyond float range"])
     def test_each_fault_is_named_as_a_walk_names_it(self, edit, message):
         tracks = self._tracks()
         edit(tracks)

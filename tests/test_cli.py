@@ -212,6 +212,16 @@ class TestExitCodes:
         assert code == 2
         assert "segment" in capsys.readouterr().err
 
+    def test_unsegmented_catalog_is_data_error_with_standardize(self, pipeline, tmp_path, capsys):
+        # the statistics are fitted before the pairs are built, with the builder's error
+        out = tmp_path / "m.sgm"
+        for extra in ([], ["--standardize"]):
+            code = run(["train", "-i", str(pipeline["catalog"]), "-o", str(out),
+                        "--epochs", "1", *extra])
+            assert code == 2
+            assert capsys.readouterr().err.endswith("segue: error: catalog is not segmented\n")
+            assert not out.exists()
+
     def test_missing_seed_track_is_data_error(self, pipeline, tmp_path, capsys):
         code = run(["generate", "-i", str(pipeline["segmented"]), "-m", str(pipeline["model"]),
                     "--seed-track", "zz", "--metric", "dcg", "-o", str(tmp_path / "x.json")])

@@ -6,7 +6,7 @@ import pytest
 from dataclasses import replace
 
 from conftest import segmented_catalog
-from segue.catalog import Catalog, TrainingPair, build_training_sequences
+from segue.catalog import Catalog, CatalogError, build_training_sequences
 from segue.features import (
     STD_FLOOR,
     STRONG_LEVEL,
@@ -16,7 +16,6 @@ from segue.features import (
     fit_standardizer,
     fold_standardizer,
     generate_synthetic_catalog,
-    standardize_windows,
 )
 from segue.rnn import forward, init_model, predict_next
 from segue.segmentation import segment_catalog
@@ -48,7 +47,7 @@ class TestStandardizer:
         catalog = segmented_catalog({
             f"t{i}": np.repeat(rng.uniform(0, 1, (1, 5)), 2, axis=0) for i in range(36)
         })
-        pairs = standardize_windows(build_training_sequences(catalog, 3), fit_standardizer(catalog))
+        pairs = build_training_sequences(catalog, 3, fit_standardizer(catalog))
         real = np.vstack([pair.window[pair.mask] for pair in pairs])
         assert real.shape == (36, 5)
         np.testing.assert_allclose(real.mean(axis=0), 0.0, atol=1e-9)
@@ -58,17 +57,19 @@ class TestStandardizer:
         rng = np.random.default_rng(5)
         catalog = segmented_catalog({f"t{i}": rng.uniform(0, 1, (4, 3)) for i in range(3)})
         plain = build_training_sequences(catalog, 3)
-        standardized = standardize_windows(plain, fit_standardizer(catalog))
-        for before, after in zip(plain, standardized):
+        standardized = build_training_sequences(catalog, 3, fit_standardizer(catalog))
+        for before, after in zip(plain, standardized, strict=True):
             assert (after.window[~after.mask] == 0.0).all()
             assert (after.mask == before.mask).all()
-            assert after.target is before.target
+            # the same raw row of the track's sections, neither copied nor z-scored
+            assert np.shares_memory(after.target, before.target)
+            assert np.array_equal(after.target, before.target)
 
     def test_unsegmented_catalog_rejected(self):
         from segue.catalog import Catalog, Track
 
         catalog = Catalog.from_tracks([Track(id="a", frames=np.array([[0.1], [0.2]]))])
-        with pytest.raises(ValueError, match="segmented"):
+        with pytest.raises(CatalogError, match="^catalog is not segmented$"):
             fit_standardizer(catalog)
 
     def test_single_vector_rejected(self):
@@ -108,8 +109,9 @@ def _fold_gap(layers, level):
     model = init_model(layers, 5, dim, seed=layers)
     before = model.copy()
     raw, mask = _oracle_windows(rng, dim, floored, level)
-    pairs = [TrainingPair(window, row_mask, np.zeros(dim)) for window, row_mask in zip(raw, mask)]
-    z = np.stack([pair.window for pair in standardize_windows(pairs, stats)])
+    # z-scored real rows, zero padding: what the window builder writes, here
+    # also on gapped and fully masked windows, which no track gives
+    z = np.where(mask[..., None], stats.apply(raw), 0.0)
     folded = fold_standardizer(model, stats)
     assert model.equals(before)  # the fold works on a copy
     gap = np.abs(forward(folded, raw, mask) - forward(model, z, mask)).max()

@@ -128,7 +128,10 @@ class Catalog:
         first bad track's, as a walk alone would find it.
         """
         tracks = list(tracks)
-        table = {track.id: track for track in tracks}
+        try:
+            table = {track.id: track for track in tracks}
+        except TypeError:  # an unhashable id, which the walk refuses by name
+            table = {}
         dimension = _checked_whole(tracks) if len(table) == len(tracks) else None
         if dimension is not None:
             return cls(dimension=dimension, tracks=table)

@@ -86,9 +86,33 @@ class SequenceModel:
     @classmethod
     def zeros(cls, num_layers: int, hidden: int, dim: int) -> "SequenceModel":
         """A model of the given shape with every parameter zero."""
-        arrays = [np.zeros(shape) for _, shape in _parameter_shapes(num_layers, hidden, dim)]
-        layers = [LstmLayerParams(*arrays[3 * i : 3 * i + 3]) for i in range(num_layers)]
-        return cls(layers=layers, w_out=arrays[-2], b_out=arrays[-1])
+        return cls._of([np.zeros(shape) for _, shape in _parameter_shapes(num_layers, hidden, dim)])
+
+    @classmethod
+    def _of(cls, arrays: list[np.ndarray], context_length: int | None = None) -> "SequenceModel":
+        """The model whose parameters are ``arrays``, in ``parameter_items()`` order."""
+        layers = [LstmLayerParams(*arrays[3 * i : 3 * i + 3]) for i in range(len(arrays) // 3)]
+        return cls(layers=layers, w_out=arrays[-2], b_out=arrays[-1], context_length=context_length)
+
+    def over(self, flat: np.ndarray) -> "SequenceModel":
+        """A model of this one's shape and context length whose parameters live in ``flat``.
+
+        ``flat`` is a C-contiguous float64 vector of ``parameter_count``
+        values. Each parameter is a C-contiguous view of the next run of
+        them, in ``parameter_items()`` order, so writing a parameter writes
+        ``flat`` and one operation on ``flat`` reaches every parameter.
+        """
+        if not (flat.dtype == np.float64 and flat.shape == (self.parameter_count,)
+                and flat.flags.c_contiguous):
+            raise ValueError(
+                f"flat vector {flat.dtype} {flat.shape} is not a contiguous float64 "
+                f"({self.parameter_count},)"
+            )
+        arrays, lo = [], 0
+        for _, array in self.parameter_items():
+            arrays.append(flat[lo : lo + array.size].reshape(array.shape))
+            lo += array.size
+        return self._of(arrays, self.context_length)
 
     @property
     def num_layers(self) -> int:

@@ -24,6 +24,14 @@ give identical states, so an item whose real rows are, byte for byte, the
 leading real rows of another item's is not run: it reads its prediction from
 that item's top-layer output at its own last real step, and its gradient
 enters the backward pass there.
+
+A ``train`` call holds its working parameters, their gradients and Adam's
+two moments in one flat float64 vector each (``SequenceModel.over`` gives
+the parameter views). Each vector is allocated once per call and reused by
+every batch, so batches allocate nothing of parameter size. One squared norm
+per batch, summed by numpy rather than BLAS, serves both the gradient clip
+and the divergence check, so the clip does not depend on the BLAS thread
+count.
 """
 
 from __future__ import annotations
@@ -280,14 +288,19 @@ def _output(model: SequenceModel, h_top: np.ndarray) -> np.ndarray:
 
 
 def loss_and_gradients(
-    model: SequenceModel, batch: list[TrainingPair]
+    model: SequenceModel, batch: list[TrainingPair], out: np.ndarray | None = None
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean squared error over a batch plus gradients for every parameter.
 
     Loss is mean over batch items of ||prediction - target||^2 / D. The items
     run together, each distinct prefix once (``_shared_runs``), and gradients
     come from one backpropagation through time over the run's unmasked
-    steps. Raises ``TrainingDivergedError`` if anything goes non-finite.
+    steps. The gradients are written into ``out``, a flat float64 vector laid
+    out as ``SequenceModel.over`` lays out parameters, or into a new one when
+    it is None; the returned dict maps each parameter name to its view.
+    Raises ``TrainingDivergedError`` if the loss goes non-finite and, when
+    no ``out`` is given, if a gradient does. A caller that passes ``out``
+    checks the gradients through their norm (``_clip_gradients``).
     """
     if not batch:
         raise ValueError("batch is empty")
@@ -298,22 +311,25 @@ def loss_and_gradients(
     carriers, readout = _shared_runs(windows, masks)
     tape: list = []
     _run(model, windows[carriers], masks[carriers], tape=tape)
-    out, real = tape[-1], readout >= 0
+    outputs, real = tape[-1], readout >= 0
     h_top = np.zeros((batch_size, model.hidden_size))  # a fully masked item keeps the zero state
-    h_top[real] = out[readout[real]]
+    h_top[real] = outputs[readout[real]]
     prediction = _output(model, h_top)
     residual = prediction - targets
     loss = float(np.sum(residual * residual)) / dim / batch_size
     # d loss / d prediction for the batch mean of per-item mean squared error
     dz_out = 2.0 * residual / (dim * batch_size) * prediction * (1.0 - prediction)
-    grads = {name: np.empty_like(array) for name, array in model.parameter_items()}
+    flat = np.empty(model.parameter_count) if out is None else out
+    grads = dict(model.over(flat).parameter_items())
     np.dot(dz_out.T, h_top, out=grads["out.w"])
     np.sum(dz_out, axis=0, out=grads["out.b"])
-    d_out = np.zeros_like(out)
+    d_out = np.zeros_like(outputs)
     np.add.at(d_out, readout[real], (dz_out @ model.w_out)[real])
     _bptt(model, tape, d_out, grads)
-    if not np.isfinite(loss) or any(not np.isfinite(g).all() for g in grads.values()):
+    if not np.isfinite(loss):
         raise TrainingDivergedError("non-finite loss or gradient")
+    if out is None:
+        _norm(flat)
     return loss, grads
 
 
@@ -400,13 +416,19 @@ def train(
     """Train a copy of the model on (window, mask, target) pairs.
 
     Minibatch order is shuffled per epoch from the config seed; gradients are
-    clipped to ``clip_norm`` (global norm) before each update. Returns the
-    trained model, with its context length and training snapshot filled in,
-    plus the per-epoch loss history. Raises ``ValueError`` naming the first
-    pair whose window, mask or target has the wrong shape, or whose real
-    window rows or target hold a non-finite value, before any batch runs,
-    and ``TrainingDivergedError`` (with the epoch index) if the loss goes
-    non-finite.
+    clipped to ``clip_norm`` (global norm) before each update. The working
+    parameters, the gradients and Adam's moments are one vector each,
+    allocated once per call and reused by every batch. The norm is numpy's
+    own sum, so the clip gives the same bits at any BLAS thread count, and
+    the gradients are scanned for a NaN or infinity only when it is not
+    finite.
+
+    Returns the trained model, with its context length and training snapshot
+    filled in, plus the per-epoch loss history. Raises ``ValueError`` naming
+    the first pair whose window, mask or target has the wrong shape, or whose
+    real window rows or target hold a non-finite value, before any batch
+    runs, and ``TrainingDivergedError`` (with the epoch index) if the loss or
+    a gradient goes non-finite.
     """
     if not sequences:
         raise ValueError("no training sequences")
@@ -424,9 +446,11 @@ def train(
             raise ValueError(f"pair {index}: target shape {target.shape} != ({dim},)")
         if not (np.isfinite(window[mask.astype(bool)]).all() and np.isfinite(target).all()):
             raise ValueError(f"pair {index}: non-finite window or target value")
-    trained = model.copy()
-    params = dict(trained.parameter_items())
-    opt = _Adam(params, config.learning_rate) if config.optimizer == "adam" else _Sgd(config.learning_rate)
+    params = np.concatenate([array.ravel() for _, array in model.parameter_items()])
+    trained = model.over(params)
+    grads = np.empty_like(params)
+    opt = (_Adam(params.size, config.learning_rate) if config.optimizer == "adam"
+           else _Sgd(config.learning_rate))
     rng = np.random.default_rng(config.seed)
     count = len(sequences)
     epoch_losses: list[float] = []
@@ -439,12 +463,11 @@ def train(
             chunk = order[lo : lo + config.batch_size]
             batch = [sequences[i] for i in chunk]
             try:
-                loss, grads = loss_and_gradients(trained, batch)
+                loss, _ = loss_and_gradients(trained, batch, grads)
+                norms.append(_clip_gradients(grads, config.clip_norm))
             except TrainingDivergedError as exc:
                 raise TrainingDivergedError(str(exc), epoch=epoch) from None
-            norms.append(_clip_gradients(grads, config.clip_norm))
             opt.update(params, grads)
-            del grads  # before the next batch allocates its own
             weighted += loss * len(chunk)
         epoch_loss = weighted / count
         if not np.isfinite(epoch_loss):
@@ -460,62 +483,80 @@ def train(
     return trained, LossReport(epoch_losses=epoch_losses)
 
 
-def _clip_gradients(grads: dict[str, np.ndarray], clip_norm: float) -> float:
-    """Scale gradients in place to global norm ``clip_norm`` if above it; returns the prior norm."""
-    norm = float(np.sqrt(sum(float(np.vdot(g, g)) for g in grads.values())))
+def _norm(grads: np.ndarray) -> float:
+    """The Euclidean norm of a flat gradient vector; raises ``TrainingDivergedError`` on a
+    NaN or infinite element.
+
+    The sum of squares is numpy's own reduction, not a BLAS one, so its bits
+    do not depend on the BLAS thread count, and it makes no temporary. Only a
+    non-finite sum has the elements scanned: finite values whose squares
+    overflow give an infinite norm and do not raise.
+    """
+    squared = float(np.einsum("i,i->", grads, grads))
+    if not math.isfinite(squared) and not np.isfinite(grads).all():
+        raise TrainingDivergedError("non-finite loss or gradient")
+    return math.sqrt(squared)
+
+
+def _clip_gradients(grads: np.ndarray, clip_norm: float) -> float:
+    """Scale flat gradients in place to norm ``clip_norm`` if above it; returns the prior norm.
+
+    Raises ``TrainingDivergedError`` as ``_norm`` does.
+    """
+    norm = _norm(grads)
     if norm > clip_norm:
-        scale = clip_norm / norm
-        for g in grads.values():
-            g *= scale
+        grads *= clip_norm / norm
     return norm
 
 
-class _Sgd:
-    def __init__(self, learning_rate: float):
-        self.learning_rate = learning_rate
-
-    def update(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
-        for name, array in params.items():
-            array -= self.learning_rate * grads[name]
-
-
 class _Adam:
-    """Per-parameter first/second-moment adaptive updates."""
+    """Per-element first/second-moment adaptive updates of a flat parameter vector."""
 
     # Elements per slice of the in-place update: keeps its two scratch
-    # buffers small enough to stay in cache however large a parameter is.
+    # buffers small enough to stay in cache however many parameters there are.
     chunk = 1 << 15
 
-    def __init__(self, params: dict[str, np.ndarray], learning_rate: float,
+    def __init__(self, size: int, learning_rate: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.learning_rate = learning_rate
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step = 0
-        self.m = {name: np.zeros_like(a) for name, a in params.items()}
-        self.v = {name: np.zeros_like(a) for name, a in params.items()}
+        self.m, self.v = np.zeros((2, size))
         self._scratch = np.empty((2, self.chunk))
 
-    def update(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
-        """In place; every value equals ``array - (lr * m_hat) / (sqrt(v_hat) + eps)``."""
+    def update(self, params: np.ndarray, grads: np.ndarray) -> None:
+        """In place; every value equals ``param - (lr * m_hat) / (sqrt(v_hat) + eps)``."""
         self.step += 1
         correct1 = 1.0 - self.beta1**self.step
         correct2 = 1.0 - self.beta2**self.step
-        for name, array in params.items():
-            flat = [x.reshape(-1) for x in (array, grads[name], self.m[name], self.v[name])]
-            for lo in range(0, array.size, self.chunk):
-                p, g, m, v = (x[lo : lo + self.chunk] for x in flat)
-                a, b = self._scratch[:, : p.size]
-                m *= self.beta1
-                m += np.multiply(1.0 - self.beta1, g, out=a)
-                v *= self.beta2
-                v += np.multiply(np.multiply(1.0 - self.beta2, g, out=a), g, out=a)
-                np.divide(m, correct1, out=a)
-                a *= self.learning_rate
-                np.divide(v, correct2, out=b)
-                np.sqrt(b, out=b)
-                b += self.eps
-                a /= b
-                p -= a
+        for lo in range(0, params.size, self.chunk):
+            p, g, m, v = (x[lo : lo + self.chunk] for x in (params, grads, self.m, self.v))
+            a, b = self._scratch[:, : p.size]
+            m *= self.beta1
+            m += np.multiply(1.0 - self.beta1, g, out=a)
+            v *= self.beta2
+            v += np.multiply(np.multiply(1.0 - self.beta2, g, out=a), g, out=a)
+            np.divide(m, correct1, out=a)
+            a *= self.learning_rate
+            np.divide(v, correct2, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            p -= a
+
+
+class _Sgd:
+    chunk = _Adam.chunk
+
+    def __init__(self, learning_rate: float):
+        self.learning_rate = learning_rate
+        self._scratch = np.empty(self.chunk)
+
+    def update(self, params: np.ndarray, grads: np.ndarray) -> None:
+        """In place on the flat vectors; every value equals ``param - lr * grad``."""
+        for lo in range(0, params.size, self.chunk):
+            p, g = params[lo : lo + self.chunk], grads[lo : lo + self.chunk]
+            p -= np.multiply(self.learning_rate, g, out=self._scratch[: p.size])
 
 
 def predict_next(model: SequenceModel, recent_segments: np.ndarray) -> np.ndarray:

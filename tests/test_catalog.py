@@ -324,10 +324,12 @@ class TestSaveCatalog:
     @pytest.mark.parametrize("track_id, frame_hop, message", [
         ("", 0.5, "track '': missing or invalid 'id'"),
         (7, 0.5, "track 7: missing or invalid 'id'"),
+        (["x"], 0.5, "track ['x']: missing or invalid 'id'"),
         ("bad", True, "track 'bad': invalid 'frame_hop'"),
         ("bad", float("nan"), "track 'bad': invalid 'frame_hop'"),
         ("bad", 10**400, "track 'bad': invalid 'frame_hop'"),
-    ], ids=["empty id", "integer id", "boolean hop", "NaN hop", "hop beyond float range"])
+    ], ids=["empty id", "integer id", "unhashable id", "boolean hop", "NaN hop",
+            "hop beyond float range"])
     def test_header_that_would_not_load_is_not_written(self, tmp_path, track_id, frame_hop,
                                                        message):
         good = Track(id="good", frames=np.full((2, 2), 0.5))
@@ -714,13 +716,14 @@ class TestWholeChecks:
         (lambda t: setattr(t[2], "frames", np.full((2, 2), 0.25, dtype=np.float32)), None),
         (lambda t: setattr(t[1], "id", ""), "track '': missing or invalid 'id'"),
         (lambda t: setattr(t[1], "id", 7), "track 7: missing or invalid 'id'"),
+        (lambda t: setattr(t[1], "id", ["x"]), "track ['x']: missing or invalid 'id'"),
         (lambda t: setattr(t[2], "frame_hop", True), "track 'c': invalid 'frame_hop'"),
         (lambda t: setattr(t[2], "frame_hop", float("nan")), "track 'c': invalid 'frame_hop'"),
         (lambda t: setattr(t[0], "frame_hop", 10**400), "track 'a': invalid 'frame_hop'"),
     ], ids=["frame NaN", "section above 1", "section below 0", "start past the end",
             "negative start", "repeated start", "duplicate id", "other dimension",
-            "uint8 starts", "float32 frames", "empty id", "integer id", "boolean hop",
-            "NaN hop", "hop beyond float range"])
+            "uint8 starts", "float32 frames", "empty id", "integer id", "unhashable id",
+            "boolean hop", "NaN hop", "hop beyond float range"])
     def test_each_fault_is_named_as_a_walk_names_it(self, edit, message):
         tracks = self._tracks()
         edit(tracks)

@@ -237,6 +237,26 @@ class TestStructure:
         clone.w_out[0, 0] += 1.0
         assert not clone.equals(small_model)
 
+    def test_over_lays_parameters_end_to_end_in_one_vector(self, small_model):
+        small_model.context_length = 4
+        flat = np.concatenate([array.ravel() for _, array in small_model.parameter_items()])
+        packed = small_model.over(flat)
+        assert packed.equals(small_model)
+        for _, array in packed.parameter_items():
+            assert array.flags.c_contiguous and np.shares_memory(array, flat)
+        packed.layers[1].w_h[2, 3] = 7.0  # writes reach the vector at the parameter's offset
+        items = small_model.parameter_items()
+        offset = sum(a.size for _, a in items[: [name for name, _ in items].index("layer1.w_h")])
+        assert flat[offset + 2 * 8 + 3] == 7.0
+
+    @pytest.mark.parametrize("flat", [np.zeros(10), np.zeros(1037, dtype=np.float32),
+                                      np.zeros(2 * 1037)[::2]],
+                             ids=["short", "float32", "strided"])
+    def test_over_refuses_a_vector_it_cannot_view(self, small_model, flat):
+        assert small_model.parameter_count == 1037
+        with pytest.raises(ValueError, match=r"not a contiguous float64 \(1037,\)"):
+            small_model.over(flat)
+
     def test_validate_catches_shape_drift(self, small_model):
         small_model.layers[1].w_h = np.zeros((3, 3))
         with pytest.raises(ModelShapeError, match="layer1.w_h"):

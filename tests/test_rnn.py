@@ -2,6 +2,7 @@
 
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from segue.rnn import (
     TrainConfig,
     TrainingDivergedError,
     _Adam,
+    _clip_gradients,
     advance,
     forward,
     init_model,
@@ -816,20 +818,129 @@ class TestTrain:
         assert report.final_loss < report.epoch_losses[0]
 
 
+def flat_parameters(rng, shapes):
+    """Standard normal values for every shape, drawn in order into one flat vector; returns
+    the vector and a dict of its views."""
+    flat = np.concatenate([rng.standard_normal(shape).ravel() for shape in shapes.values()])
+    views, lo = {}, 0
+    for name, shape in shapes.items():
+        views[name] = flat[lo : lo + math.prod(shape)].reshape(shape)
+        lo += views[name].size
+    return flat, views
+
+
+class TestFlatBuffers:
+    """A ``train`` call holds its parameters, gradients and Adam moments in one vector each."""
+
+    @staticmethod
+    def traced_train(batches, optimizer="adam", monkeypatch=None):
+        """Train H=64 for one epoch of ``batches`` batches under tracemalloc; returns the peak
+        and, per batch after the first, how far memory rose above where the one before began."""
+        pairs = toy_pairs(count=2 * batches, context=3, dimension=4, seed=21)
+        model = init_model(2, 64, 4, seed=21)
+        config = TrainConfig(context_length=3, epochs=1, batch_size=2, seed=21, optimizer=optimizer)
+        rises, began = [], []
+        if monkeypatch is not None:
+            run = rnn_module.loss_and_gradients
+
+            def measured(*args):
+                current, peak = tracemalloc.get_traced_memory()
+                if began:
+                    rises.append(peak - began[-1])
+                began.append(current)
+                tracemalloc.reset_peak()
+                return run(*args)
+
+            monkeypatch.setattr(rnn_module, "loss_and_gradients", measured)
+        tracemalloc.start()
+        try:
+            train(model, pairs, config)
+            return tracemalloc.get_traced_memory()[1], rises
+        finally:
+            tracemalloc.stop()
+
+    def test_a_call_allocates_per_call_not_per_batch(self):
+        one, _ = self.traced_train(1)
+        eight, _ = self.traced_train(8)
+        vector = init_model(2, 64, 4).parameter_count * 8
+        assert eight - one < vector / 8
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_a_batch_allocates_no_parameter_sized_buffer(self, monkeypatch, optimizer):
+        _, rises = self.traced_train(8, optimizer, monkeypatch)
+        vector = init_model(2, 64, 4).parameter_count * 8
+        # a batch's own activations stay far below one more parameter-sized vector
+        assert len(rises) == 7 and max(rises) < vector / 2
+
+    def test_gradients_into_a_reused_buffer_match_a_fresh_call(self):
+        rng = np.random.default_rng(22)
+        model = init_model(2, 5, 3, seed=22)
+        batch = random_batch(rng, 4, 3, 6)
+        fresh_loss, fresh = loss_and_gradients(model, batch)
+        out = np.full(model.parameter_count, np.nan)
+        for _ in range(2):  # the second call overwrites the first's gradients
+            loss, grads = loss_and_gradients(model, batch, out)
+            assert loss == fresh_loss and list(grads) == list(fresh)
+            for name, array in grads.items():
+                assert np.shares_memory(array, out)
+                np.testing.assert_array_equal(array, fresh[name])
+            np.testing.assert_array_equal(out, np.concatenate([g.ravel() for g in fresh.values()]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_gradient_raises_with_its_epoch(self, monkeypatch, bad):
+        run, calls = rnn_module.loss_and_gradients, []
+
+        def poisoned(model, batch, out):
+            result = run(model, batch, out)
+            calls.append(batch)
+            if len(calls) == 3:  # the first batch of epoch 2
+                out[7] = bad
+            return result
+
+        monkeypatch.setattr(rnn_module, "loss_and_gradients", poisoned)
+        pairs = toy_pairs(count=4, context=3, dimension=4, seed=23)
+        config = TrainConfig(context_length=3, epochs=3, batch_size=2, seed=23)
+        message = "^epoch 2: non-finite loss or gradient$"
+        with pytest.raises(TrainingDivergedError, match=message) as info:
+            train(init_model(2, 4, 4, seed=23), pairs, config)
+        assert info.value.epoch == 2 and len(calls) == 3
+
+    def test_finite_gradients_whose_squares_overflow_are_clipped_not_refused(self):
+        grads = np.full(6, 1e160)
+        grads[2] = -1e160
+        assert _clip_gradients(grads, 5.0) == math.inf
+        np.testing.assert_array_equal(grads, 0.0)  # scaled by 5 / inf, as any norm above the clip
+        kept = np.full(6, 1e160)
+        assert _clip_gradients(kept, math.inf) == math.inf
+        np.testing.assert_array_equal(kept, 1e160)
+
+    def test_norm_bits_do_not_depend_on_the_vector_address(self):
+        grads = np.random.default_rng(24).standard_normal(100_003)
+        shifted = np.empty(grads.size + 1)[1:]  # 8 bytes off the allocation's alignment
+        shifted[...] = grads
+        assert _clip_gradients(grads, math.inf) == _clip_gradients(shifted, math.inf)
+
+    def test_clip_scales_to_the_clip_norm(self):
+        grads = np.array([3.0, -4.0, 0.0])
+        assert _clip_gradients(grads, 2.5) == 5.0
+        np.testing.assert_array_equal(grads, [1.5, -2.0, 0.0])
+        assert _clip_gradients(grads, 2.5) == 2.5
+        np.testing.assert_array_equal(grads, [1.5, -2.0, 0.0])
+
+
 class TestAdam:
-    def test_in_place_update_matches_out_of_place_formula_bit_for_bit(self):
-        rng = np.random.default_rng(17)
-        # the largest array spans several in-place slices
-        shapes = {"w": (12, 7), "b": (5,), "big": (3 * _Adam.chunk + 11,)}
-        params = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+    @staticmethod
+    def check_against_formula(shapes, seed):
+        rng = np.random.default_rng(seed)
+        flat, params = flat_parameters(rng, shapes)
         expected = {name: array.copy() for name, array in params.items()}
         m = {name: np.zeros(shape) for name, shape in shapes.items()}
         v = {name: np.zeros(shape) for name, shape in shapes.items()}
         lr, beta1, beta2, eps = 3e-3, 0.9, 0.999, 1e-8
-        opt = _Adam(params, lr, beta1, beta2, eps)
+        opt = _Adam(flat.size, lr, beta1, beta2, eps)
         for step in range(1, 6):
-            grads = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
-            opt.update(params, grads)
+            flat_grads, grads = flat_parameters(rng, shapes)
+            opt.update(flat, flat_grads)
             for name, g in grads.items():
                 m[name] = beta1 * m[name] + (1.0 - beta1) * g
                 v[name] = beta2 * v[name] + (1.0 - beta2) * g * g
@@ -837,6 +948,15 @@ class TestAdam:
                 v_hat = v[name] / (1.0 - beta2**step)
                 expected[name] -= lr * m_hat / (np.sqrt(v_hat) + eps)
                 np.testing.assert_array_equal(params[name], expected[name])
+
+    def test_in_place_update_matches_out_of_place_formula_bit_for_bit(self):
+        # the largest array spans several in-place slices
+        self.check_against_formula({"w": (12, 7), "b": (5,), "big": (3 * _Adam.chunk + 11,)}, 17)
+
+    def test_a_slice_straddling_two_parameters_matches_the_formula_bit_for_bit(self):
+        # the first slice ends 5 values into "b", the second takes its other 7 and most of "c"
+        chunk = _Adam.chunk
+        self.check_against_formula({"a": (chunk - 5,), "b": (3, 4), "c": (chunk + 3,)}, 18)
 
 
 class TestPredictNext:

@@ -20,21 +20,24 @@ a time from tables of digit words; values below 1e-4 and -0.0 among them are
 written by ``repr``. Every other array goes through ``json.dumps``. Which path
 ran never shows in the file.
 
-``load_catalog`` reads lines in the writer's layout (the keys above in that
-order, ``json.dumps`` separators, an id without escapes) without ``json``,
-whatever their length. Consecutive such lines are gathered into batches of
-about ``_BATCH_TEXT`` (128 KiB) of text, a longer line being a batch of its own.
+``load_catalog`` takes lines in the writer's layout (the keys above in that
+order, ``json.dumps`` separators, an id without escapes) apart without
+``json``, whatever their length. Consecutive such lines are gathered into
+batches of about ``_BATCH_TEXT`` (128 KiB) of text, a longer line being a
+batch of its own.
 A batch's frame rows, then its section rows, are parsed into one array, in
 blocks of whole rows of at most 64 KiB of text tokenised as bytes in numpy, and
 each track holds row views of it. A token ``I.ddd`` (I is 0 or 1, 1 to 15
-decimals) is computed exactly in numpy; a block's other tokens are checked
-against the JSON number grammar together and converted by ``float``. Lines in
-any other layout, a line whose first frame holds longer values on average
-(full precision, which ``json`` reads as fast), and every line of a batch
-whose text fails a check are read by ``json.loads``, one at a time in file
-order. Which path ran never shows in the result: the tracks and every error
-are the same. ``Catalog.from_tracks`` then checks values once per array that
-the tracks' rows live in, and walks the tracks one at a time only when a check
+decimals) is computed exactly in numpy. A block's other tokens, whose bytes
+must all be ones a number holds (digits, signs, points, exponents), are read
+by ``json`` itself, in one ``json.loads``, which refuses any that is not a
+JSON number; ``frame_hop`` is read by ``json.loads`` too. Lines in any other
+layout, a line whose first frame holds longer values on average (full
+precision, which ``json`` reads as fast), and every line of a batch whose
+text fails a check are read by ``json.loads``, one at a time in file order.
+Which path ran never shows in the result: the tracks and every error are the
+same. ``Catalog.from_tracks`` then checks values once per array that the
+tracks' rows live in, and walks the tracks one at a time only when a check
 fails, so the first bad track is the one named.
 
 Catalogs are treated as immutable after construction: segmentation builds a
@@ -407,9 +410,7 @@ _READ_BLOCK = 64 * 1024
 # per-call costs are shared. Loads were as fast at 256 KiB, but a batch's text
 # and scratch then left more free heap between the arrays that tracks hold.
 _BATCH_TEXT = 128 * 1024
-_NUMBER = r"-?(?:0|[1-9][0-9]*)(\.[0-9]+)?([eE][-+]?[0-9]+)?"
-_JSON_NUMBER = re.compile(_NUMBER)
-_JSON_NUMBERS = re.compile(f"{_NUMBER}(?:,{_NUMBER})*")  # tokens (never holding ",") joined by ","
+_NUMBER = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"  # JSON's number grammar
 _HEAD = re.compile(
     r'\{"id": "([^"\\\x00-\x1f]+)", "frame_hop": (' + _NUMBER + r'), "frames": \[\['
 )
@@ -420,17 +421,8 @@ _STARTS = re.compile(r"(?:0|[1-9][0-9]{0,17})(?: (?:0|[1-9][0-9]{0,17}))*")  # f
 _PAD = bytes(24)  # room for the 8-byte reads at 2 and 10 bytes into the last token
 _ZEROS = np.uint64(0x3030303030303030)  # "00000000"
 _KEEP = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)  # low k bytes
-
-
-def _json_number(token: str) -> float | None:
-    """The float ``json.loads`` reads from a JSON number token; None for any other text."""
-    match = _JSON_NUMBER.fullmatch(token)
-    if match is None:
-        return None
-    try:
-        return float(token) if match.lastindex else float(int(token))
-    except (OverflowError, ValueError):  # an integer beyond float range or int's digit limit
-        return None
+_NUMBER_BYTE = np.zeros(256, dtype=bool)  # the bytes of a number's text besides digits
+_NUMBER_BYTE[list(b"+-.Ee")] = True
 
 
 class _Layout(NamedTuple):
@@ -459,8 +451,11 @@ def _split_layout(line: str, lineno: int) -> _Layout | None:
     head = _HEAD.match(line)
     if head is None:
         return None
-    frame_hop = _json_number(head[2])
-    if frame_hop is None or not math.isfinite(frame_hop):
+    try:
+        frame_hop = float(json.loads(head[2]))
+    except (OverflowError, ValueError):  # beyond float range, or beyond int's digit limit
+        return None
+    if not math.isfinite(frame_hop):
         return None
     # Where the frames end is only found here; text that is not number rows
     # up to that point fails to parse later.
@@ -567,8 +562,6 @@ def _parse_arrays(texts: list[list[tuple[str, slice]]], rows: list[int], width: 
             if cut == end:
                 break
             start = cut + 4
-        if filled != limit:
-            return None
     return array
 
 
@@ -579,8 +572,9 @@ def _parse_rows(text: str, width: int) -> np.ndarray | None:
     between rows; any other text gives None. A token ``I.ddd`` (I is 0 or 1,
     1 to 15 decimals) is read as the integer ``Iddd`` scaled to 15 decimals,
     divided by 1e15: both are exact doubles and division rounds correctly, so
-    the value is ``float(token)``. The other tokens are checked against the
-    JSON number grammar in one match and read by ``float``.
+    the value is ``float(token)``. The other tokens, if no byte of them is
+    one that no number holds, are read by ``json.loads`` in one call, which
+    refuses any that is not a JSON number.
     """
     raw = text.encode()
     n = len(raw)
@@ -615,6 +609,8 @@ def _parse_rows(text: str, width: int) -> np.ndarray | None:
                    starts[decimal] + 1):
             non_digit[at] = False
         stray = np.flatnonzero(non_digit)
+        if not _NUMBER_BYTE[data[stray]].all():  # text that no number holds
+            return None
         decimal[np.searchsorted(starts, stray, side="right") - 1] = False
     exact = decimal & (lengths <= 17)
     # Up to 8 decimals from the 8 bytes at the first decimal, the rest from the
@@ -634,21 +630,12 @@ def _parse_rows(text: str, width: int) -> np.ndarray | None:
     values = numerators / 1e15
     others = np.flatnonzero(~exact)
     if others.size:
-        tokens = [text[lo:hi] for lo, hi in zip(starts[others].tolist(), ends[others].tolist())]
-        # Decimal tokens are JSON numbers already; the rest are checked together.
-        checked = [tokens[at] for at in np.flatnonzero(~decimal[others]).tolist()]
-        if checked and _JSON_NUMBERS.fullmatch(",".join(checked)) is None:
+        tokens = ",".join([text[lo:hi] for lo, hi in zip(starts[others].tolist(),
+                                                         ends[others].tolist())])
+        try:
+            values[others] = json.loads(f"[{tokens}]")
+        except (OverflowError, ValueError):  # beyond float range; not JSON numbers or too long
             return None
-        parsed = np.array(list(map(float, tokens)))
-        # ``float`` reads every JSON number as ``json.loads`` does, but for the
-        # integers "-0" (+0.0 in json) and those beyond float range (an error
-        # in json), which it reads as -0.0 and inf: such tokens are re-read.
-        for at in np.flatnonzero(np.isinf(parsed) | ((parsed == 0.0) & np.signbit(parsed))):
-            value = _json_number(tokens[at])
-            if value is None:
-                return None
-            parsed[at] = value
-        values[others] = parsed
     return values.reshape(shape)
 
 

@@ -4,7 +4,8 @@ In memory each LSTM layer holds two C-contiguous weights, ``w_x`` (4H, in)
 on the layer input and ``w_h`` (4H, H) on the previous hidden state, and a
 bias (4H,); in each, row block k is gate ``GATES[k]``. Every file block is
 then one contiguous row range of an array, which load reads into in place,
-with no staging buffer.
+with no staging buffer, and save hands to the file as it is, with no copy:
+no parameter-sized temporary is made either way.
 
 File layout (little-endian throughout):
 
@@ -201,6 +202,8 @@ def save_model(model: SequenceModel, path: str | Path) -> None:
     """Write a model to the binary format; round-trips losslessly through ``load_model``.
 
     The file replaces ``path`` only once it is complete (``atomic_output``).
+    Each block of C-contiguous arrays, as every model this package makes
+    holds, is written from the array's own buffer, with no copy.
     """
     model.validate()
     with atomic_output(path) as handle:
@@ -208,7 +211,8 @@ def save_model(model: SequenceModel, path: str | Path) -> None:
         handle.write(MAGIC + struct.pack("<4I", *header))
         for block in model.blocks():
             handle.write(struct.pack("<I", block.size))
-            handle.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
+            # The block's own buffer when it is C-contiguous little-endian, else a copy.
+            handle.write(np.ascontiguousarray(block, dtype="<f8"))
 
 
 def load_model(path: str | Path) -> SequenceModel:

@@ -28,7 +28,10 @@ enters the backward pass there.
 A ``train`` call holds its working parameters, their gradients and Adam's
 two moments in one flat float64 vector each (``SequenceModel.over`` gives
 the parameter views). Each vector is allocated once per call and reused by
-every batch, so batches allocate nothing of parameter size. One squared norm
+every batch, so batches allocate nothing of parameter size. Every
+parameter-sized array is written where it lives, with no temporary:
+``init_model`` draws each weight block in place, and each weight gradient
+is one ``np.matmul`` into its view of the gradient vector. One squared norm
 per batch, summed by numpy rather than BLAS, serves both the gradient clip
 and the divergence check, so the clip does not depend on the BLAS thread
 count.
@@ -118,7 +121,8 @@ def init_model(
 
     Biases start at zero except the forget gates, which start at one so early
     training does not wipe the cell state. Deterministic for a given seed:
-    weight matrices are drawn in file block order.
+    weight matrices are drawn in file block order, each into its block, with
+    the bits ``rng.uniform(-bound, bound, size=block.shape)`` gives.
     """
     if num_layers < 1 or hidden_size < 1 or dimension < 1:
         raise ValueError("num_layers, hidden_size, and dimension must be positive")
@@ -127,7 +131,9 @@ def init_model(
     for block in model.blocks():
         if block.ndim == 2:
             bound = 1.0 / np.sqrt(block.shape[1])
-            block[...] = rng.uniform(-bound, bound, size=block.shape)
+            rng.random(out=block)  # then ``uniform``'s low + range * U, bit for bit
+            block *= bound - -bound
+            block += -bound
     for layer in model.layers:
         layer.gate("forget")[2][...] = 1.0
     return model
@@ -321,7 +327,7 @@ def loss_and_gradients(
     dz_out = 2.0 * residual / (dim * batch_size) * prediction * (1.0 - prediction)
     flat = np.empty(model.parameter_count) if out is None else out
     grads = dict(model.over(flat).parameter_items())
-    np.dot(dz_out.T, h_top, out=grads["out.w"])
+    np.matmul(dz_out.T, h_top, out=grads["out.w"])
     np.sum(dz_out, axis=0, out=grads["out.b"])
     d_out = np.zeros_like(outputs)
     np.add.at(d_out, readout[real], (dz_out @ model.w_out)[real])
@@ -377,7 +383,8 @@ def _bptt(model: SequenceModel, tape: list, d_out: np.ndarray, grads: dict) -> N
 
     ``d_out`` holds, per position, the loss gradient with respect to the top
     layer's output there. Walks the layers top down and, within a layer, the
-    steps in reverse, multiplying only by the recurrent weights per step.
+    steps in reverse, multiplying only by the recurrent weights per step and
+    not at the first step, whose items have no earlier step to pass to.
     Each layer then passes the gradient of its inputs down in one product,
     and forms each weight gradient in one product with the cached inputs or
     previous hidden states.
@@ -401,12 +408,13 @@ def _bptt(model: SequenceModel, tape: list, d_out: np.ndarray, grads: dict) -> N
             np.multiply(d_c * c_prev[lo:hi] * f, 1.0 - f, out=dz_f)
             np.multiply(d_h * tc * o, 1.0 - o, out=dz_o)
             np.multiply(d_c * i, 1.0 - g**2, out=dz_g)
-            dh[rows] = dz[lo:hi] @ w_h
-            dc[rows] = d_c * f
+            if lo:  # the first step passes nothing back: skip its read of ``w_h``
+                dh[rows] = dz[lo:hi] @ w_h
+                dc[rows] = d_c * f
         if index > 0:
             dx = dz @ layer.w_x
-        np.dot(dz.T, x, out=grads[f"layer{index}.w_x"])
-        np.dot(dz.T, h_prev, out=grads[f"layer{index}.w_h"])
+        np.matmul(dz.T, x, out=grads[f"layer{index}.w_x"])
+        np.matmul(dz.T, h_prev, out=grads[f"layer{index}.w_h"])
         np.sum(dz, axis=0, out=grads[f"layer{index}.bias"])
 
 

@@ -32,6 +32,10 @@ HOSTILE = {
     "NaN": (
         ['{"id": "a", "frame_hop": 0.5, "frames": [[0.25, NaN]]}'],
         "{path}: track 'a': non-finite frame element"),
+    "Infinity in a section": (
+        ['{"id": "a", "frame_hop": 0.5, %s, "segments": [{"start": 0, '
+         '"features": [-Infinity, 0.5]}]}' % _FRAMES],
+        "{path}: track 'a': non-finite segment element"),
     "1.5": (['{"id": "a", "frame_hop": 0.5, "frames": [[0.25, 1.5]]}'], _OUT_OF_RANGE % "a"),
     "1.5 in a section": (
         ['{"id": "a", "frame_hop": 0.5, %s, "segments": [{"start": 0, "features": [0.25, 1.5]}]}'
@@ -394,9 +398,11 @@ class TestFastPath:
         assert json_reads == []
 
     @pytest.mark.parametrize("bad", ["01", "1.", ".5", "+1", "1_0", "inf", "nan", "0x1", "1e",
-                                     "--1", "1e+", "0.5.5", "1 0"])
+                                     "--1", "1e+", "0.5.5", "1 0", "NaN", "Infinity",
+                                     "-Infinity", "true", "null", '"1"', "[1]"])
     def test_odd_tokens_off_the_json_grammar_are_refused(self, bad):
-        # float() reads most of these; the JSON number grammar does not.
+        # float() reads most of these, and json the constants and the last
+        # four as other values; the JSON number grammar takes none of them.
         for row in (["5e-05", "-0", bad, "0.25"], ["5e-05", "0.1234567890123456789", bad]):
             assert catalog_module._parse_rows(", ".join(row), len(row)) is None, row
             good = [token if token != bad else "0.5" for token in row]

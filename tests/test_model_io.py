@@ -123,6 +123,29 @@ class TestFileLayout:
         save_model(small_model, path)
         assert path.read_bytes() == per_gate_file(small_model)
 
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 5, 2), (2, 512, 50)],
+                             ids=["1x1x1", "3x5x2", "reference 2x512x50"])
+    def test_save_writes_the_reference_bytes(self, shape, tmp_path):
+        model = init_model(*shape, seed=17)
+        model.context_length = 50
+        path = tmp_path / "model.sgm"
+        save_model(model, path)
+        assert path.read_bytes() == per_gate_file(model)
+
+    def test_save_of_flat_views_and_fortran_arrays_writes_the_reference_bytes(
+            self, small_model, tmp_path):
+        # Views of one vector, as ``train`` returns them, and arrays whose
+        # blocks are not contiguous, which save has to copy.
+        flat = np.random.default_rng(2).uniform(-1.0, 1.0, small_model.parameter_count)
+        fortran = small_model.copy()
+        for layer in fortran.layers:
+            layer.w_x, layer.w_h = np.asfortranarray(layer.w_x), np.asfortranarray(layer.w_h)
+        fortran.w_out = np.asfortranarray(fortran.w_out)
+        for model in (small_model.over(flat), fortran):
+            path = tmp_path / "model.sgm"
+            save_model(model, path)
+            assert path.read_bytes() == per_gate_file(model)
+
     def test_per_gate_file_loads_into_the_layer_arrays(self, small_model, tmp_path):
         path = tmp_path / "model.sgm"
         path.write_bytes(per_gate_file(small_model))

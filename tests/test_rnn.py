@@ -10,7 +10,7 @@ import pytest
 from conftest import padded_pairs
 from segue import rnn as rnn_module
 from segue.catalog import TrainingPair
-from segue.model import GATES
+from segue.model import GATES, SequenceModel
 from segue.rnn import (
     LstmState,
     TrainConfig,
@@ -133,6 +133,24 @@ class TestInitModel:
         assert formula == 3_277_874
         assert model.parameter_count == formula
         assert sum(a.size for _, a in model.parameter_items()) == formula
+
+    @pytest.mark.parametrize("shape, seed", [
+        ((1, 1, 1), 0), ((2, 4, 3), 1), ((3, 33, 5), 2), ((2, 512, 50), 3),
+    ], ids=["1x1x1", "2x4x3", "3x33x5", "reference 2x512x50"])
+    def test_draws_equal_uniform_per_block(self, shape, seed):
+        # The oracle draws each weight block with ``rng.uniform`` in file block
+        # order; init_model draws in place, and must give the same bits.
+        model = init_model(*shape, seed=seed)
+        expected = SequenceModel.zeros(*shape)
+        rng = np.random.default_rng(seed)
+        for block in expected.blocks():
+            if block.ndim == 2:
+                bound = 1.0 / np.sqrt(block.shape[1])
+                block[...] = rng.uniform(-bound, bound, size=block.shape)
+        for layer in expected.layers:
+            layer.gate("forget")[2][...] = 1.0
+        for (name, got), (_, want) in zip(model.parameter_items(), expected.parameter_items()):
+            assert got.tobytes() == want.tobytes(), name
 
     def test_same_seed_identical(self):
         first, second = init_model(2, 6, 4, seed=5), init_model(2, 6, 4, seed=5)

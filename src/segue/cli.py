@@ -1,6 +1,11 @@
 """Command-line pipeline: synthesize or ingest catalogs, segment, train,
 generate playlists, compare metrics, and export transition matrices.
 
+Every output file (``-o``, ``--loss-out``, ``--transitions-out``) appears whole
+or not at all (``files.atomic_output``): a failed write leaves the previous
+file as it was, and ``generate`` builds its transition matrix before it
+replaces either of its files.
+
 Exit codes: 0 success, 1 usage error, 2 data or validation error, 3 training
 divergence. Every run echoes its resolved configuration to stderr so results
 can be reproduced exactly. Set SEGUE_LOG=debug|info|warning|error (any case) to
@@ -20,6 +25,7 @@ from . import playlist as playlist_mod
 from .catalog import CatalogError, build_training_sequences, load_catalog, save_catalog
 from .features import SynthSpec, generate_synthetic_catalog
 from .features import fit_standardizer, fold_standardizer
+from .files import atomic_output
 from .model import ModelFormatError, load_model, save_model
 from .rnn import TrainConfig, TrainingDivergedError, init_model, train
 from .segmentation import SegmentationParams, segment_catalog
@@ -168,7 +174,8 @@ def _echo_config(args: argparse.Namespace) -> None:
 
 
 def _write_json(data: dict, path: str) -> None:
-    Path(path).write_text(json.dumps(data, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    with atomic_output(path) as handle:
+        handle.write((json.dumps(data, sort_keys=True, indent=2) + "\n").encode("utf-8"))
 
 
 def _run_synth(args: argparse.Namespace) -> int:
@@ -220,7 +227,8 @@ def _run_train(args: argparse.Namespace) -> int:
         lines = ["epoch,loss"] + [
             f"{epoch},{loss!r}" for epoch, loss in enumerate(report.epoch_losses, start=1)
         ]
-        Path(args.loss_out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with atomic_output(args.loss_out) as handle:
+            handle.write(("\n".join(lines) + "\n").encode("utf-8"))
     print(f"# final loss: {report.final_loss!r} after {len(report.epoch_losses)} epochs",
           file=sys.stderr)
     return 0
@@ -232,9 +240,11 @@ def _run_generate(args: argparse.Namespace) -> int:
     result = playlist_mod.generate(
         catalog, model, args.seed_track, args.length, metric, nn_threshold=args.nn_threshold
     )
+    matrix = (  # built before either file is replaced, so its failure replaces neither
+        playlist_mod.export_transition_matrix(result, catalog) if args.transitions_out else None
+    )
     _write_json(result.to_dict(), args.output)
-    if args.transitions_out:
-        matrix = playlist_mod.export_transition_matrix(result, catalog)
+    if matrix is not None:
         playlist_mod.write_transition_csv(matrix, args.transitions_out)
     return 0
 

@@ -1,9 +1,11 @@
 """Output files that appear whole or not at all.
 
-``atomic_output`` writes to a temporary file beside the target and renames it
-over the target only when writing completes, so an interrupted or failed
-write leaves the previous file as it was. It is not made durable with
-``fsync``: a power loss may still lose the new file.
+``atomic_output`` is the package's one way to write a file: catalogs, models,
+playlists, compare reports, loss histories and transition CSVs all go through
+it. It writes to a temporary file beside the target and renames it over the
+target only when writing completes, so an interrupted or failed write leaves
+the previous file as it was. It is not made durable with ``fsync``: a power
+loss may still lose the new file.
 """
 
 from __future__ import annotations

@@ -9,18 +9,19 @@ prediction rows) and a coherence report.
 A request carries the LSTM state along the history: while the history still
 fits the model's context, each step advances the state by the newly chosen
 track's sections only; once it is longer, the window slides, and each step
-runs its last N sections from zero. Either way the prediction is the one
-``predict_next`` gives on the whole history, and every step of those runs is
-dense, so the state is carried without gathering rows. The candidates' start
-sections are stacked once per request, and a used-mask drops the chosen
-tracks. Each step scores the unused candidates once and takes the best in one
-pass (``StartSections.gap``); at debug level it also logs the best score's
-lead over the runner-up.
+calls ``predict_next`` on the whole history, which runs its last N sections
+from zero. Either way the prediction is the one ``predict_next`` gives on the
+whole history, and every step of those runs is dense, so the state is carried
+without gathering rows. The candidates' start sections are stacked once per
+request, and a used-mask drops the chosen tracks. Each step scores the unused
+candidates once and takes the best in one pass (``StartSections.gap``); at
+debug level it also logs the best score's lead over the runner-up.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
 import time
@@ -29,8 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import Catalog, CatalogError
+from .files import atomic_output
 from .model import SequenceModel
-from .rnn import advance
+from .rnn import advance, predict_next
 from .similarity import DEFAULT_NN_THRESHOLD, Metric, NeighbourGap, StartSections, cosine_distance
 
 logger = logging.getLogger(__name__)
@@ -175,7 +177,7 @@ def generate(
             prediction, state = advance(model, pending, state)
         else:
             # The window slides: run its last N sections from zero.
-            prediction = advance(model, np.stack(history[-context:]))[0]
+            prediction = predict_next(model, history)
         gap, best = starts.gap(prediction, metric, used)
         event = gap.no_near_neighbour(nn_threshold)
         if event:
@@ -249,9 +251,15 @@ def _sections_of(playlist: Playlist, catalog: Catalog) -> list[np.ndarray]:
 
 
 def write_transition_csv(matrix: TransitionMatrix, path) -> None:
-    """Write ``label,dim_0,...,dim_{D-1}`` rows."""
+    """Write ``label,dim_0,...,dim_{D-1}`` rows, each ending in ``\\r\\n``.
+
+    The file replaces ``path`` only once it is complete (``atomic_output``).
+    """
     dim = matrix.rows.shape[1]
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with (
+        atomic_output(path) as binary,
+        io.TextIOWrapper(binary, encoding="utf-8", newline="") as handle,
+    ):
         writer = csv.writer(handle)
         writer.writerow(["label"] + [f"dim_{d}" for d in range(dim)])
         for label, row in zip(matrix.labels, matrix.rows):

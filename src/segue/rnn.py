@@ -160,7 +160,8 @@ def _run(
     (item, step) positions are computed, so masked steps leave an item's
     state as it was. Each layer applies its input weights to all positions in
     one product and then walks the steps, adding only the recurrent product
-    of the rows active there. At a step where every item is real, the state
+    of the rows active there; a run from the zero state skips it at the first
+    step, where it is zero. At a step where every item is real, the state
     rows are the previous step's outputs in item order and are used as they
     are; only a step that leaves items out gathers and scatters rows by item.
     A layer's outputs at every position are the next layer's inputs. A
@@ -197,7 +198,8 @@ def _run(
                     h, c, carried = h.copy(), c.copy(), False
                 rows = items[lo:hi]
                 h_in, c_in = h[rows], c[rows]
-            gates[lo:hi] += h_in @ w_h
+            if lo or state is not None:  # from the zero state, the first step's product is 0
+                gates[lo:hi] += h_in @ w_h
             z = blocks[lo:hi]
             sigmoid(z[:, :3], out=z[:, :3])  # input, forget, output
             np.tanh(z[:, 3], out=z[:, 3])  # candidate

@@ -1,5 +1,6 @@
 """CLI pipeline: subcommands, exit codes, and byte-level reproducibility."""
 
+import errno
 import json
 import os
 import subprocess
@@ -10,7 +11,11 @@ import pytest
 
 import segue
 from segue import cli
+from segue.catalog import load_catalog
+from segue.model import load_model
+from segue.playlist import export_transition_matrix, generate
 from segue.rnn import TrainingDivergedError
+from segue.similarity import Metric
 
 
 def run(args):
@@ -140,6 +145,142 @@ class TestReproducibility:
                         "-o", str(playlist_path)]) == 0
             outputs.append((model.read_bytes(), playlist_path.read_bytes()))
         assert outputs[0] == outputs[1]
+
+
+# A child process whose writes to regular files fail with EFBIG past a byte
+# limit, as on a disk that fills part-way through a write; Python ignores
+# SIGXFSZ, so the write raises instead of killing the process.
+_FILLING_DISK = (
+    "import resource, sys\n"
+    "from segue.cli import main\n"
+    "limit = resource.RLIMIT_FSIZE\n"
+    "resource.setrlimit(limit, (int(sys.argv[1]), resource.getrlimit(limit)[1]))\n"
+    "sys.exit(main(sys.argv[2:]))\n"
+)
+
+PREVIOUS = b"previous contents, to be kept\n"
+
+
+def run_on_filling_disk(args, room=16):
+    """Run the CLI in a child that can write at most ``room`` bytes to any regular
+    file, and check that it failed on a write, with exit code 2."""
+    source = str(Path(segue.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"}
+    result = subprocess.run([sys.executable, "-c", _FILLING_DISK, str(room), *args],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == 2, result.stderr
+    assert os.strerror(errno.EFBIG) in result.stderr
+
+
+def previous_file(path):
+    path.write_bytes(PREVIOUS)
+    return path
+
+
+def assert_left_as_it_was(*paths):
+    for path in paths:
+        assert path.read_bytes() == PREVIOUS
+        assert not list(path.parent.glob(".*.tmp"))
+
+
+def expected_transition_csv(matrix):
+    lines = [",".join(["label"] + [f"dim_{d}" for d in range(matrix.rows.shape[1])])]
+    lines += [",".join([label] + [repr(float(v)) for v in row])
+              for label, row in zip(matrix.labels, matrix.rows)]
+    return "".join(line + "\r\n" for line in lines).encode("utf-8")
+
+
+class TestOutputsAppearWhole:
+    """Every file the CLI writes replaces the previous one whole, or not at all."""
+
+    def generate_args(self, pipeline, out, *extra):
+        return ["generate", "-i", str(pipeline["segmented"]), "-m", str(pipeline["model"]),
+                "--seed-track", "t01", "--length", "3", "--metric", "cosine",
+                "-o", str(out), *extra]
+
+    def test_failed_generate_keeps_the_playlist_and_transitions(self, pipeline, tmp_path):
+        playlist_path = previous_file(tmp_path / "playlist.json")
+        csv_path = previous_file(tmp_path / "transitions.csv")
+        run_on_filling_disk(self.generate_args(
+            pipeline, playlist_path, "--transitions-out", str(csv_path)))
+        assert_left_as_it_was(playlist_path, csv_path)
+
+    def test_failed_transitions_write_keeps_the_csv(self, pipeline, tmp_path):
+        csv_path = previous_file(tmp_path / "transitions.csv")
+        run_on_filling_disk(self.generate_args(
+            pipeline, os.devnull, "--transitions-out", str(csv_path)))
+        assert_left_as_it_was(csv_path)
+
+    def test_failed_transition_matrix_replaces_neither_file(self, pipeline, tmp_path,
+                                                            monkeypatch, capsys):
+        def explode(*args, **kwargs):
+            raise ValueError("matrix failed")
+
+        monkeypatch.setattr(cli.playlist_mod, "export_transition_matrix", explode)
+        playlist_path = previous_file(tmp_path / "playlist.json")
+        csv_path = previous_file(tmp_path / "transitions.csv")
+        code = run(self.generate_args(pipeline, playlist_path, "--transitions-out", str(csv_path)))
+        assert code == 2
+        assert "matrix failed" in capsys.readouterr().err
+        assert_left_as_it_was(playlist_path, csv_path)
+
+    def test_failed_compare_keeps_the_report(self, pipeline, tmp_path):
+        out = previous_file(tmp_path / "compare.json")
+        run_on_filling_disk(
+            ["compare", "-i", str(pipeline["segmented"]), "-m", str(pipeline["model"]),
+             "--seed-track", "t00", "--length", "3", "-o", str(out)])
+        assert_left_as_it_was(out)
+
+    def test_failed_loss_history_keeps_the_csv(self, pipeline, tmp_path):
+        loss_path = previous_file(tmp_path / "loss.csv")
+        run_on_filling_disk(
+            ["train", "-i", str(pipeline["segmented"]), "-o", os.devnull, "--hidden", "4",
+             "--context-length", "4", "--epochs", "3", "--loss-out", str(loss_path)])
+        assert_left_as_it_was(loss_path)
+
+    def test_failed_export_keeps_the_csv(self, pipeline, tmp_path):
+        playlist_path = tmp_path / "playlist.json"
+        assert run(self.generate_args(pipeline, playlist_path)) == 0
+        csv_path = previous_file(tmp_path / "transitions.csv")
+        run_on_filling_disk(["export-transitions", "-i", str(pipeline["segmented"]),
+                             "-p", str(playlist_path), "-o", str(csv_path)])
+        assert_left_as_it_was(csv_path)
+
+    def test_playlist_and_transition_bytes(self, pipeline, tmp_path):
+        playlist_path = previous_file(tmp_path / "playlist.json")
+        csv_path = previous_file(tmp_path / "generate.csv")
+        export_path = previous_file(tmp_path / "export.csv")
+        assert run(self.generate_args(
+            pipeline, playlist_path, "--transitions-out", str(csv_path))) == 0
+        assert run(["export-transitions", "-i", str(pipeline["segmented"]),
+                    "-p", str(playlist_path), "-o", str(export_path)]) == 0
+        catalog, model = load_catalog(pipeline["segmented"]), load_model(pipeline["model"])
+        result = generate(catalog, model, "t01", 3, Metric(kind="cosine"))
+        text = json.dumps(result.to_dict(), sort_keys=True, indent=2) + "\n"
+        assert playlist_path.read_bytes() == text.encode("utf-8")
+        expected = expected_transition_csv(export_transition_matrix(result, catalog))
+        assert csv_path.read_bytes() == expected
+        assert export_path.read_bytes() == expected
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "export.csv", "generate.csv", "playlist.json"]
+
+    def test_compare_report_bytes(self, pipeline, tmp_path):
+        out = previous_file(tmp_path / "compare.json")
+        assert run(["compare", "-i", str(pipeline["segmented"]), "-m", str(pipeline["model"]),
+                    "--seed-track", "t00", "--length", "3", "-o", str(out)]) == 0
+        raw = out.read_bytes()
+        assert raw == (json.dumps(json.loads(raw), sort_keys=True, indent=2) + "\n").encode()
+        assert [p.name for p in tmp_path.iterdir()] == ["compare.json"]
+
+    def test_loss_history_bytes(self, pipeline):
+        raw = (pipeline["root"] / "loss.csv").read_bytes()
+        lines = raw.decode("utf-8").split("\n")
+        assert lines[0] == "epoch,loss" and lines[-1] == "" and b"\r" not in raw
+        for epoch, line in enumerate(lines[1:-1], start=1):
+            loss = line.removeprefix(f"{epoch},")
+            assert line == f"{epoch},{float(loss)!r}"
+        assert len(lines) == 1 + 15 + 1
 
 
 class TestExitCodes:

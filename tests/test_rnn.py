@@ -266,6 +266,21 @@ class TestForward:
         expected = [scalar_sigmoid(v) for v in model.b_out]
         np.testing.assert_allclose(forward(model, window, mask), expected, atol=1e-12)
 
+    def test_first_step_from_zero_state_reads_no_recurrent_weight(self):
+        # The zero state's recurrent product is skipped, so a NaN in ``w_h``
+        # reaches neither a one-step prediction nor the loss and gradients.
+        rng = np.random.default_rng(20)
+        model = init_model(2, 4, 3, seed=20)
+        clean = model.copy()
+        for layer in model.layers:
+            layer.w_h[...] = np.nan
+        window, target = rng.uniform(0, 1, (1, 3)), rng.uniform(0, 1, 3)
+        assert np.array_equal(forward(model, window), forward(clean, window))
+        pair = TrainingPair(np.vstack([np.zeros((2, 3)), window]), np.array([False, False, True]),
+                            target)
+        loss, grads = loss_and_gradients(model, [pair])
+        assert math.isfinite(loss) and all(np.isfinite(g).all() for g in grads.values())
+
     def test_matches_two_step_oracle(self):
         rng = np.random.default_rng(19)
         model = init_model(2, 3, 2, seed=19)

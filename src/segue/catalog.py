@@ -9,7 +9,7 @@ share one dimension D and every element must be a finite value in [0, 1].
 ``segments`` is optional and appears once a catalog has been segmented; each
 entry is ``{"start": <first frame index>, "features": [...]}``. In memory a
 segmented track holds them as two arrays, ``starts`` (S,) and ``sections``
-(S, D), validated whole; ``Track.segments`` is a read-only row view of them.
+(S, D); ``Track.segments`` is a read-only row view of them.
 
 ``save_catalog`` writes each record as exactly the text ``json.dumps`` gives
 for it, streamed to the file as bytes (the text is ASCII: ``json.dumps``
@@ -36,9 +36,10 @@ layout, a line whose first frame holds longer values on average (full
 precision, which ``json`` reads as fast), and every line of a batch whose
 text fails a check are read by ``json.loads``, one at a time in file order.
 Which path ran never shows in the result: the tracks and every error are the
-same. ``Catalog.from_tracks`` then checks values once per array that the
-tracks' rows live in, and walks the tracks one at a time only when a check
-fails, so the first bad track is the one named.
+same. ``Catalog.from_tracks`` then walks the tracks once, in order, and
+raises the first fault, naming its track. Values are checked once per array
+that the tracks' rows live in; a track's own values only when that array
+fails, so a bad value is blamed on the first track that holds it.
 
 Catalogs are treated as immutable after construction: segmentation builds a
 new ``Catalog`` rather than mutating one in place.
@@ -126,19 +127,16 @@ class Catalog:
     def from_tracks(cls, tracks: Iterable[Track]) -> "Catalog":
         """Build a catalog from tracks, validating ids, frame hops, dimensions, and values.
 
-        The checks run whole first (``_checked_whole``). Only when one of them
-        fails are the tracks walked one at a time, so the error raised is the
-        first bad track's, as a walk alone would find it.
+        One walk over the tracks, in order, raises the first fault it finds,
+        naming the track; it needs no second pass, so ``tracks`` may be a
+        stream. Values are checked through the array that holds them
+        (``_holder``), once per such array; only a track whose holder fails
+        has its own values checked (``_check_values``), so a bad value is
+        blamed on the first track that holds it.
         """
-        tracks = list(tracks)
-        try:
-            table = {track.id: track for track in tracks}
-        except TypeError:  # an unhashable id, which the walk refuses by name
-            table = {}
-        dimension = _checked_whole(tracks) if len(table) == len(tracks) else None
-        if dimension is not None:
-            return cls(dimension=dimension, tracks=table)
-        table = {}
+        table: dict[str, Track] = {}
+        verdicts: dict[int, tuple[np.ndarray, bool]] = {}
+        dimension = None
         for track in tracks:
             bad = _bad_header(track.id, track.frame_hop)
             if bad:
@@ -155,62 +153,12 @@ class Catalog:
                     f"track '{track.id}': dimension {frames.shape[1]} does not match "
                     f"catalog dimension {dimension}"
                 )
-            if not np.isfinite(frames).all():
-                raise CatalogError(f"track '{track.id}': non-finite frame element")
-            if (frames < 0.0).any() or (frames > 1.0).any():
-                raise CatalogError(f"track '{track.id}': frame element outside [0, 1]")
-            _validate_segments(track, dimension)
+            _check_values(track.id, frames, "frame", verdicts)
+            _validate_segments(track, dimension, verdicts)
             table[track.id] = track
         if dimension is None:
             raise CatalogError("catalog has no tracks")
         return cls(dimension=dimension, tracks=table)
-
-
-def _checked_whole(tracks: list[Track]) -> int | None:
-    """The catalog dimension if every track passes ``from_tracks``' checks; else None.
-
-    Ids were counted by the caller; ids, frame hops, shapes and dtypes are
-    checked per track. Values are checked once per distinct array that the
-    tracks' rows live in (``_holder``), and every section start against its
-    track's frame count in one concatenated pass. None only means that some
-    check did not pass whole.
-    """
-    if not tracks or not isinstance(tracks[0].frames, np.ndarray) or tracks[0].frames.ndim != 2:
-        return None
-    dimension = tracks[0].frames.shape[1]
-    holders: dict[int, np.ndarray] = {}
-    starts, frame_counts = [], []
-    for track in tracks:
-        frames, sections = track.frames, track.sections
-        if _bad_header(track.id, track.frame_hop):
-            return None
-        if not (isinstance(frames, np.ndarray) and frames.dtype == np.float64
-                and frames.ndim == 2 and frames.size and frames.shape[1] == dimension):
-            return None
-        holder = _holder(frames)
-        holders[id(holder)] = holder
-        if track.starts is None and sections is None:
-            continue
-        if not (isinstance(track.starts, np.ndarray) and track.starts.dtype == np.int64
-                and track.starts.ndim == 1 and track.starts.size
-                and isinstance(sections, np.ndarray) and sections.dtype == np.float64
-                and sections.shape == (track.starts.size, dimension)):
-            return None
-        holder = _holder(sections)
-        holders[id(holder)] = holder
-        starts.append(track.starts)
-        frame_counts.append(frames.shape[0])
-    # min and max are NaN when any value is, so these also check finiteness.
-    if not all(values.min() >= 0.0 and values.max() <= 1.0 for values in holders.values()):
-        return None
-    if starts:
-        sizes = [vector.size for vector in starts]
-        flat = np.concatenate(starts)
-        rising = np.diff(flat) > 0
-        rising[np.cumsum(sizes)[:-1] - 1] = True  # a track's first start follows another track
-        if not (rising.all() and flat.min() >= 0 and (flat < np.repeat(frame_counts, sizes)).all()):
-            return None
-    return dimension
 
 
 def _holder(array: np.ndarray) -> np.ndarray:
@@ -227,18 +175,41 @@ def _holder(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _validate_segments(track: Track, dimension: int) -> None:
-    """Check a track's section arrays whole; of its bad starts, the first is named."""
+def _check_values(track_id: str, values: np.ndarray, kind: str,
+                  verdicts: dict[int, tuple[np.ndarray, bool]]) -> None:
+    """Refuse a non-finite ``values`` element, or one outside [0, 1].
+
+    The float64 array that holds them (``_holder``) is checked once, its
+    verdict kept in ``verdicts`` by id beside the array itself. Only when it
+    fails, or holds another dtype, are ``values`` checked on their own.
+    """
+    holder = _holder(values)
+    verdict = verdicts.get(id(holder))
+    if verdict is None:
+        # min and max are NaN when any value is, so this also checks finiteness.
+        valid = holder.dtype == np.float64 and holder.min() >= 0.0 and holder.max() <= 1.0
+        verdict = verdicts[id(holder)] = holder, valid
+    if verdict[1]:
+        return
+    if not np.isfinite(values).all():
+        raise CatalogError(f"track '{track_id}': non-finite {kind} element")
+    if (values < 0.0).any() or (values > 1.0).any():
+        raise CatalogError(f"track '{track_id}': {kind} element outside [0, 1]")
+
+
+def _validate_segments(track: Track, dimension: int,
+                       verdicts: dict[int, tuple[np.ndarray, bool]]) -> None:
+    """Check a track's section arrays; of its bad starts, the first is named."""
     starts, sections = track.starts, track.sections
     if starts is None and sections is None:
         return
     if not (isinstance(starts, np.ndarray) and starts.ndim == 1 and starts.size
             and starts.dtype.kind in "iu"):
         raise CatalogError(f"track '{track.id}': segment starts must be a non-empty integer vector")
-    outside = (starts < 0) | (starts >= track.num_frames)
-    bad = outside | np.concatenate(([False], starts[1:] <= starts[:-1]))
-    if bad.any():
-        first = int(bad.argmax())
+    listed = starts.tolist()
+    if listed != sorted(set(listed)) or listed[0] < 0 or listed[-1] >= track.num_frames:
+        outside = (starts < 0) | (starts >= track.num_frames)
+        first = int((outside | np.concatenate(([False], starts[1:] <= starts[:-1]))).argmax())
         if outside[first]:
             raise CatalogError(
                 f"track '{track.id}': segment start {starts[first]} outside frame range"
@@ -246,10 +217,7 @@ def _validate_segments(track: Track, dimension: int) -> None:
         raise CatalogError(f"track '{track.id}': segment starts are not strictly increasing")
     if not isinstance(sections, np.ndarray) or sections.shape != (starts.size, dimension):
         raise CatalogError(f"track '{track.id}': segment feature dimension mismatch")
-    if not np.isfinite(sections).all():
-        raise CatalogError(f"track '{track.id}': non-finite segment element")
-    if (sections < 0.0).any() or (sections > 1.0).any():
-        raise CatalogError(f"track '{track.id}': segment element outside [0, 1]")
+    _check_values(track.id, sections, "segment", verdicts)
 
 
 def _is_int(value: object) -> bool:

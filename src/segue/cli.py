@@ -3,8 +3,9 @@ generate playlists, compare metrics, and export transition matrices.
 
 Every output file (``-o``, ``--loss-out``, ``--transitions-out``) appears whole
 or not at all (``files.atomic_output``): a failed write leaves the previous
-file as it was, and ``generate`` builds its transition matrix before it
-replaces either of its files.
+file as it was, ``generate`` builds its transition matrix before it
+replaces either of its files, and ``train`` creates both of its files before
+the first epoch, so a target it cannot create fails the run before training.
 
 Exit codes: 0 success, 1 usage error, 2 data or validation error, 3 training
 divergence. Every run echoes its resolved configuration to stderr so results
@@ -19,6 +20,7 @@ import json
 import logging
 import os
 import sys
+from contextlib import ExitStack
 from pathlib import Path
 
 from . import playlist as playlist_mod
@@ -26,7 +28,7 @@ from .catalog import CatalogError, build_training_sequences, load_catalog, save_
 from .features import SynthSpec, generate_synthetic_catalog
 from .features import fit_standardizer, fold_standardizer
 from .files import atomic_output
-from .model import ModelFormatError, load_model, save_model
+from .model import ModelFormatError, _write_model, load_model
 from .rnn import TrainConfig, TrainingDivergedError, init_model, train
 from .segmentation import SegmentationParams, segment_catalog
 from .similarity import DEFAULT_NN_THRESHOLD, METRIC_NAMES, Metric
@@ -219,16 +221,19 @@ def _run_train(args: argparse.Namespace) -> int:
     stats = fit_standardizer(catalog) if args.standardize else None
     sequences = build_training_sequences(catalog, config.context_length, stats)
     model = init_model(args.layers, args.hidden, catalog.dimension, seed=args.seed)
-    trained, report = train(model, sequences, config)
-    if stats is not None:
-        trained = fold_standardizer(trained, stats)
-    save_model(trained, args.output)
-    if args.loss_out:
-        lines = ["epoch,loss"] + [
-            f"{epoch},{loss!r}" for epoch, loss in enumerate(report.epoch_losses, start=1)
-        ]
-        with atomic_output(args.loss_out) as handle:
-            handle.write(("\n".join(lines) + "\n").encode("utf-8"))
+    # Both outputs are created before training, so a run that cannot write one fails first.
+    with ExitStack() as outputs:
+        model_file = outputs.enter_context(atomic_output(args.output))
+        loss_file = outputs.enter_context(atomic_output(args.loss_out)) if args.loss_out else None
+        trained, report = train(model, sequences, config)
+        if stats is not None:
+            trained = fold_standardizer(trained, stats)
+        _write_model(model_file, trained)
+        if loss_file is not None:
+            lines = ["epoch,loss"] + [
+                f"{epoch},{loss!r}" for epoch, loss in enumerate(report.epoch_losses, start=1)
+            ]
+            loss_file.write(("\n".join(lines) + "\n").encode("utf-8"))
     print(f"# final loss: {report.final_loss!r} after {len(report.epoch_losses)} epochs",
           file=sys.stderr)
     return 0

@@ -27,7 +27,7 @@ import struct
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -201,18 +201,26 @@ def _block_shapes(num_layers: int, hidden: int, dim: int) -> Iterator[tuple[str,
 def save_model(model: SequenceModel, path: str | Path) -> None:
     """Write a model to the binary format; round-trips losslessly through ``load_model``.
 
-    The file replaces ``path`` only once it is complete (``atomic_output``).
+    The file replaces ``path`` only once it is complete (``atomic_output``);
+    a model that fails ``validate`` leaves it untouched.
+    """
+    with atomic_output(path) as handle:
+        _write_model(handle, model)
+
+
+def _write_model(handle: BinaryIO, model: SequenceModel) -> None:
+    """Validate a model, then write it to an open binary handle.
+
     Each block of C-contiguous arrays, as every model this package makes
     holds, is written from the array's own buffer, with no copy.
     """
     model.validate()
-    with atomic_output(path) as handle:
-        header = (model.num_layers, model.hidden_size, model.dimension, model.context_length or 0)
-        handle.write(MAGIC + struct.pack("<4I", *header))
-        for block in model.blocks():
-            handle.write(struct.pack("<I", block.size))
-            # The block's own buffer when it is C-contiguous little-endian, else a copy.
-            handle.write(np.ascontiguousarray(block, dtype="<f8"))
+    header = (model.num_layers, model.hidden_size, model.dimension, model.context_length or 0)
+    handle.write(MAGIC + struct.pack("<4I", *header))
+    for block in model.blocks():
+        handle.write(struct.pack("<I", block.size))
+        # The block's own buffer when it is C-contiguous little-endian, else a copy.
+        handle.write(np.ascontiguousarray(block, dtype="<f8"))
 
 
 def load_model(path: str | Path) -> SequenceModel:

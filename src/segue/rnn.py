@@ -556,17 +556,13 @@ class _Adam:
 
 
 class _Sgd:
-    chunk = _Adam.chunk
-
     def __init__(self, learning_rate: float):
         self.learning_rate = learning_rate
-        self._scratch = np.empty(self.chunk)
 
     def update(self, params: np.ndarray, grads: np.ndarray) -> None:
-        """In place on the flat vectors; every value equals ``param - lr * grad``."""
-        for lo in range(0, params.size, self.chunk):
-            p, g = params[lo : lo + self.chunk], grads[lo : lo + self.chunk]
-            p -= np.multiply(self.learning_rate, g, out=self._scratch[: p.size])
+        """In place; every value equals ``param - lr * grad``. ``grads`` is scaled by ``lr``."""
+        grads *= self.learning_rate
+        params -= grads
 
 
 def predict_next(model: SequenceModel, recent_segments: np.ndarray) -> np.ndarray:

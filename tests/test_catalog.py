@@ -692,13 +692,24 @@ class TestWholeChecks:
                   sections=np.full((2, 2), 0.75)),
         ]
 
-    def test_valid_tracks_are_checked_whole(self, monkeypatch):
-        def walk(*args):
-            raise AssertionError("tracks walked one at a time")
+    def test_batched_values_are_checked_once_per_array(self):
+        calls = []
 
-        monkeypatch.setattr(catalog_module, "_validate_segments", walk)
-        catalog = Catalog.from_tracks(self._tracks())
-        assert catalog.dimension == 2 and catalog.track_ids == ["a", "b", "c"]
+        class Watched(np.ndarray):  # records every ufunc call on it, with the shape it had
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                calls.append((ufunc.__name__, method, self.shape))
+                plain = [x.view(np.ndarray) if isinstance(x, Watched) else x for x in inputs]
+                return getattr(ufunc, method)(*plain, **kwargs)
+
+        values = np.full((10, 2), 0.5).view(Watched)  # the rows of both tracks, as in a batch
+        catalog = Catalog.from_tracks([
+            Track(id="a", frames=values[0:4], starts=np.array([0, 3]), sections=values[8:10]),
+            Track(id="b", frames=values[4:7], starts=np.array([1]), sections=values[7:8]),
+        ])
+        assert catalog.track_ids == ["a", "b"]
+        assert calls, "no value was checked"
+        assert {shape for _, _, shape in calls} == {values.shape}, "a track's rows were checked"
+        assert len(set(calls)) == len(calls), "the array was checked more than once"
 
     @pytest.mark.parametrize("edit, message", [
         (lambda t: t[1].frames.__setitem__((0, 1), np.nan), "track 'b': non-finite frame element"),
@@ -758,3 +769,93 @@ class TestWholeChecks:
     def test_zero_dimension_names_the_track(self):
         with pytest.raises(CatalogError, match="^track 'z': frames must be a non-empty 2-D matrix$"):
             Catalog.from_tracks([Track(id="z", frames=np.zeros((3, 0)))])
+
+
+def _batched_tracks(rng) -> list[Track]:
+    """1 to 8 tracks whose values are row views of one or two shared arrays, as the reader's are.
+
+    Each shared array holds its tracks' frame rows, then their section rows,
+    then one spare row that no track holds; starts are views of one vector.
+    """
+    dimension = int(rng.integers(1, 4))
+    tracks = []
+    count = int(rng.integers(1, 9))
+    for batch in np.array_split(np.arange(count), rng.integers(1, min(count, 2) + 1)):
+        lengths = rng.integers(1, 7, size=batch.size)
+        counts = [int(rng.integers(1, n + 1)) if rng.random() < 0.8 else 0 for n in lengths]
+        values = rng.random((lengths.sum() + sum(counts) + 1, dimension))
+        starts = np.concatenate([np.sort(rng.choice(n, size=k, replace=False))
+                                 for n, k in zip(lengths, counts)]).astype(np.int64)
+        row, section = 0, int(lengths.sum())
+        for index, n, k in zip(batch.tolist(), lengths.tolist(), counts):
+            track = Track(id=f"t{index}", frames=values[row : row + n], frame_hop=0.5)
+            if k:
+                at = section - int(lengths.sum())
+                track.starts, track.sections = starts[at : at + k], values[section : section + k]
+            row, section = row + n, section + k
+            tracks.append(track)
+    return tracks
+
+
+def _cell(rng, array):
+    return tuple(int(rng.integers(size)) for size in array.shape)
+
+
+def _set_section(value):
+    def fault(rng, tracks, track):
+        if track.sections is not None:
+            track.sections[_cell(rng, track.sections)] = value
+    return fault
+
+
+def _spare_row_nan(rng, tracks, track):
+    track.frames.base[-1, 0] = np.nan  # in the array the track's rows live in, in no track
+
+
+# The faults of ``TestWholeChecks``, each applied to a given track, and a NaN in a spare row.
+_FAULTS = [
+    lambda rng, tracks, t: t.frames.__setitem__(_cell(rng, t.frames), np.nan),
+    _set_section(1.5),
+    _set_section(-0.5),
+    lambda rng, tracks, t: setattr(t, "starts", np.array([t.num_frames])),
+    lambda rng, tracks, t: setattr(t, "starts", np.array([-1])),
+    lambda rng, tracks, t: setattr(t, "starts", np.array([0, 0])),
+    lambda rng, tracks, t: setattr(t, "id", tracks[int(rng.integers(len(tracks)))].id),
+    lambda rng, tracks, t: setattr(t, "frames", np.full((t.num_frames, 7), 0.5)),
+    lambda rng, tracks, t: setattr(t, "starts",
+                                   None if t.starts is None else t.starts.astype(np.uint8)),
+    lambda rng, tracks, t: setattr(t, "frames", t.frames.astype(np.float32)),
+    lambda rng, tracks, t: setattr(t, "id", ""),
+    lambda rng, tracks, t: setattr(t, "id", 7),
+    lambda rng, tracks, t: setattr(t, "id", ["x"]),
+    lambda rng, tracks, t: setattr(t, "frame_hop", True),
+    lambda rng, tracks, t: setattr(t, "frame_hop", float("nan")),
+    lambda rng, tracks, t: setattr(t, "frame_hop", 10**400),
+    _spare_row_nan,
+]
+
+
+def _outcome(tracks) -> str | None:
+    try:
+        Catalog.from_tracks(tracks)
+    except CatalogError as exc:
+        return str(exc)
+    return None
+
+
+def test_batched_tracks_are_judged_as_tracks_that_own_their_arrays():
+    rng = np.random.default_rng(20161606)
+    outcomes = []
+    for _ in range(200):
+        tracks = _batched_tracks(rng)
+        for _ in range(rng.integers(0, 4)):
+            fault = _FAULTS[int(rng.integers(len(_FAULTS)))]
+            fault(rng, tracks, tracks[int(rng.integers(len(tracks)))])
+        owned = [Track(id=t.id, frames=np.array(t.frames), frame_hop=t.frame_hop,
+                       starts=None if t.starts is None else np.array(t.starts),
+                       sections=None if t.sections is None else np.array(t.sections))
+                 for t in tracks]
+        outcome = _outcome(tracks)
+        assert outcome == _outcome(owned)
+        outcomes.append(outcome)
+    assert None in outcomes and len(set(outcomes)) > 10  # both verdicts, and many faults, were seen

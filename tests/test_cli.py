@@ -161,14 +161,18 @@ _FILLING_DISK = (
 PREVIOUS = b"previous contents, to be kept\n"
 
 
+def child_env(**extra):
+    """The environment of a child Python that imports this ``segue``."""
+    source = str(Path(segue.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1", **extra}
+
+
 def run_on_filling_disk(args, room=16):
     """Run the CLI in a child that can write at most ``room`` bytes to any regular
     file, and check that it failed on a write, with exit code 2."""
-    source = str(Path(segue.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"}
     result = subprocess.run([sys.executable, "-c", _FILLING_DISK, str(room), *args],
-                            capture_output=True, text=True, env=env)
+                            capture_output=True, text=True, env=child_env())
     assert result.returncode == 2, result.stderr
     assert os.strerror(errno.EFBIG) in result.stderr
 
@@ -238,6 +242,35 @@ class TestOutputsAppearWhole:
             ["train", "-i", str(pipeline["segmented"]), "-o", os.devnull, "--hidden", "4",
              "--context-length", "4", "--epochs", "3", "--loss-out", str(loss_path)])
         assert_left_as_it_was(loss_path)
+
+    @staticmethod
+    def train_at_info(pipeline, model_path, loss_path):
+        """``segue train`` in a child at ``SEGUE_LOG=info``; its epoch log lines, and the result."""
+        result = subprocess.run(
+            [sys.executable, "-m", "segue", "train", "-i", str(pipeline["segmented"]),
+             "-o", str(model_path), "--hidden", "4", "--context-length", "4", "--epochs", "3",
+             "--loss-out", str(loss_path)],
+            capture_output=True, text=True, env=child_env(SEGUE_LOG="info"))
+        return [line for line in result.stderr.splitlines() if ":segue.rnn:epoch " in line], result
+
+    @pytest.mark.parametrize("absent", ["model", "loss"])
+    def test_train_that_cannot_create_an_output_does_not_train(self, pipeline, tmp_path, absent):
+        model_path = previous_file(tmp_path / "model.sgm")
+        loss_path = previous_file(tmp_path / "loss.csv")
+        missing = tmp_path / "absent" / "out"
+        epochs, result = self.train_at_info(pipeline, missing if absent == "model" else model_path,
+                                            missing if absent == "loss" else loss_path)
+        assert result.returncode == 2, result.stderr
+        assert os.strerror(errno.ENOENT) in result.stderr
+        assert epochs == []
+        assert_left_as_it_was(model_path, loss_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["loss.csv", "model.sgm"]
+
+    def test_train_logs_its_epochs(self, pipeline, tmp_path):
+        epochs, result = self.train_at_info(pipeline, tmp_path / "model.sgm", tmp_path / "loss.csv")
+        assert result.returncode == 0, result.stderr
+        assert len(epochs) == 3
+        assert load_model(tmp_path / "model.sgm").hidden_size == 4
 
     def test_failed_export_keeps_the_csv(self, pipeline, tmp_path):
         playlist_path = tmp_path / "playlist.json"

@@ -16,6 +16,7 @@ from segue.rnn import (
     TrainConfig,
     TrainingDivergedError,
     _Adam,
+    _Sgd,
     _clip_gradients,
     advance,
     forward,
@@ -990,6 +991,20 @@ class TestAdam:
         # the first slice ends 5 values into "b", the second takes its other 7 and most of "c"
         chunk = _Adam.chunk
         self.check_against_formula({"a": (chunk - 5,), "b": (3, 4), "c": (chunk + 3,)}, 18)
+
+
+class TestSgd:
+    def test_update_equals_the_formula_bit_for_bit(self):
+        rng = np.random.default_rng(19)
+        size = 3 * _Adam.chunk + 11
+        # signed values from subnormal to near overflow, and signed zeros
+        params, grads = (rng.standard_normal(size) * 10.0 ** rng.integers(-320, 300, size)
+                         for _ in range(2))
+        params[:4], grads[4:8] = [0.0, -0.0, 0.0, -0.0], [0.0, -0.0, -0.0, 0.0]
+        lr = 0.1
+        expected = params - lr * grads
+        _Sgd(lr).update(params, grads)
+        np.testing.assert_array_equal(params.view(np.int64), expected.view(np.int64))
 
 
 class TestPredictNext:

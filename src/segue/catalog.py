@@ -27,14 +27,15 @@ batches of about ``_BATCH_TEXT`` (128 KiB) of text, a longer line being a
 batch of its own.
 A batch's frame rows, then its section rows, are parsed into one array, in
 blocks of whole rows of at most 64 KiB of text tokenised as bytes in numpy, and
-each track holds row views of it. A token ``I.ddd`` (I is 0 or 1, 1 to 15
-decimals) is computed exactly in numpy. A block's other tokens, whose bytes
-must all be ones a number holds (digits, signs, points, exponents), are read
-by ``json`` itself, in one ``json.loads``, which refuses any that is not a
-JSON number; ``frame_hop`` is read by ``json.loads`` too. Lines in any other
-layout, a line whose first frame holds longer values on average (full
-precision, which ``json`` reads as fast), and every line of a batch whose
-text fails a check are read by ``json.loads``, one at a time in file order.
+each track holds row views of it. A token ``I.ddd`` (I is 0 or 1, 1 to 8
+decimals, the shape the writer builds) is computed exactly in numpy. A block's
+other tokens, longer decimals among them, whose bytes must all be ones a
+number holds (digits, signs, points, exponents), are read by ``json`` itself,
+in one ``json.loads``, which refuses any that is not a JSON number;
+``frame_hop`` is read by ``json.loads`` too. Lines in any other layout, a line
+whose first frame holds longer values on average (full precision, which
+``json`` reads as fast), and every line of a batch whose text fails a check
+are read by ``json.loads``, one at a time in file order.
 Which path ran never shows in the result: the tracks and every error are the
 same. ``Catalog.from_tracks`` then walks the tracks once, in order, and
 raises the first fault, naming its track. Values are checked once per array
@@ -386,7 +387,7 @@ _SEGMENTS = ']], "segments": [{"start": '  # the end of the frames, then the seg
 _NEXT_SEGMENT = ']}, {"start": '
 _FEATURES = ', "features": ['
 _STARTS = re.compile(r"(?:0|[1-9][0-9]{0,17})(?: (?:0|[1-9][0-9]{0,17}))*")  # fit int64
-_PAD = bytes(24)  # room for the 8-byte reads at 2 and 10 bytes into the last token
+_PAD = bytes(9)  # room for the 8-byte read at 2 bytes into the last token
 _ZEROS = np.uint64(0x3030303030303030)  # "00000000"
 _KEEP = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)  # low k bytes
 _NUMBER_BYTE = np.zeros(256, dtype=bool)  # the bytes of a number's text besides digits
@@ -445,7 +446,7 @@ def _split_layout(line: str, lineno: int) -> _Layout | None:
     first_row = line.find("], [", head.end(), close)
     first_row = close if first_row < 0 else first_row
     width = line.count(", ", head.end(), first_row) + 1
-    if first_row - head.end() + 2 > 19 * width:  # values longer than ``1.`` and 15 decimals
+    if first_row - head.end() + 2 > 19 * width:  # full precision: ``json`` reads it as fast
         return None
     return _Layout(line, lineno, head[1], frame_hop, width, slice(head.end(), close), starts,
                    sections)
@@ -538,11 +539,12 @@ def _parse_rows(text: str, width: int) -> np.ndarray | None:
 
     ``text`` is number tokens joined by ``", "`` within a row and ``"], ["``
     between rows; any other text gives None. A token ``I.ddd`` (I is 0 or 1,
-    1 to 15 decimals) is read as the integer ``Iddd`` scaled to 15 decimals,
-    divided by 1e15: both are exact doubles and division rounds correctly, so
-    the value is ``float(token)``. The other tokens, if no byte of them is
-    one that no number holds, are read by ``json.loads`` in one call, which
-    refuses any that is not a JSON number.
+    1 to 8 decimals, as ``_format_block`` writes them) is read as the integer
+    ``Iddd`` scaled to 8 decimals, divided by 1e8: both are exact doubles and
+    division rounds correctly, so the value is ``float(token)``. The other
+    tokens, longer decimals among them, if no byte of them is one that no
+    number holds, are read by ``json.loads`` in one call, which refuses any
+    that is not a JSON number.
     """
     raw = text.encode()
     n = len(raw)
@@ -580,22 +582,17 @@ def _parse_rows(text: str, width: int) -> np.ndarray | None:
         if not _NUMBER_BYTE[data[stray]].all():  # text that no number holds
             return None
         decimal[np.searchsorted(starts, stray, side="right") - 1] = False
-    exact = decimal & (lengths <= 17)
-    # Up to 8 decimals from the 8 bytes at the first decimal, the rest from the
-    # next 8; bytes past the token are masked off before the digits are summed.
-    # The bytes are gathered as raw 8-byte items: much faster than gathering
-    # unaligned integers, and the gathered copy is aligned. Tokens that are not
-    # exact get some value here, replaced below.
-    decimals = lengths - 2
-    words = np.ndarray((n + 16,), dtype="V8", buffer=buffer, strides=(1,))
-    low = _eight_digits((words[starts + 2].view("<u8") - _ZEROS) & _KEEP[np.minimum(decimals, 8)])
-    numerators = low.view(np.int64) * 10**7
-    numerators += (first == ord("1")) * 10**15
-    if (decimals[exact] > 8).any():
-        high = words[starts + 10].view("<u8")
-        high = _eight_digits((high - _ZEROS) & _KEEP[np.clip(decimals - 8, 0, 8)])
-        numerators += (high // 10).view(np.int64)
-    values = numerators / 1e15
+    exact = decimal & (lengths <= 10)
+    # The decimals are the 8 bytes at the first decimal; bytes past the token
+    # are masked off before the digits are summed. The bytes are gathered as
+    # raw 8-byte items: much faster than gathering unaligned integers, and the
+    # gathered copy is aligned. Tokens that are not exact get some value here,
+    # replaced below.
+    words = np.ndarray((n + 2,), dtype="V8", buffer=buffer, strides=(1,))
+    digits = (words[starts + 2].view("<u8") - _ZEROS) & _KEEP[np.minimum(lengths - 2, 8)]
+    numerators = _eight_digits(digits).view(np.int64)
+    numerators += (first == ord("1")) * 10**8
+    values = numerators / 1e8
     others = np.flatnonzero(~exact)
     if others.size:
         tokens = ",".join([text[lo:hi] for lo, hi in zip(starts[others].tolist(),
@@ -695,16 +692,15 @@ def _write_numbers(handle: BinaryIO, values: np.ndarray) -> None:
     handle.write(closing)
 
 
-def _decimal_numerators(x: np.ndarray, places: int) -> np.ndarray | None:
-    """The integers n with each value the double nearest to n / 10**places; else None.
+def _decimal_numerators(x: np.ndarray) -> np.ndarray | None:
+    """The integers n with each value the double nearest to n / 1e8; else None.
 
-    For places <= 15 both n and 10**places are exact doubles, and division is
-    correctly rounded, so when the check holds that decimal text parses back
-    to the value. The integers are returned as float64.
+    Both n and 1e8 are exact doubles, and division is correctly rounded, so
+    when the check holds that decimal text with 8 decimals parses back to the
+    value. The integers are returned as float64.
     """
-    scale = 10.0**places
-    scaled = np.rint(x * scale)
-    return scaled if (scaled / scale == x).all() else None
+    scaled = np.rint(x * 1e8)
+    return scaled if (scaled / 1e8 == x).all() else None
 
 
 def _format_block(block: np.ndarray) -> bytes:
@@ -726,7 +722,7 @@ def _format_block(block: np.ndarray) -> bytes:
     if odd.size:
         x = values.copy()
         x[odd] = 0.0
-    scaled = _decimal_numerators(x, 8)
+    scaled = _decimal_numerators(x)
     if scaled is None or not (scaled.min() >= 0.0 and scaled.max() <= 1e8):
         return json.dumps(block.tolist())[2:-2].encode()
     numerators = scaled.astype(np.intp)

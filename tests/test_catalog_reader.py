@@ -314,6 +314,24 @@ def _random_line(rng, index: int, width: int) -> tuple[str, bool]:
     return line + "}", token is _full_precision
 
 
+class _JsonSpy:
+    """``json`` as the catalog module sees it, recording what it loads and dumps."""
+
+    def __init__(self):
+        self.loaded, self.dumped = [], []
+
+    def loads(self, text):
+        self.loaded.append(text)
+        return json.loads(text)
+
+    def dumps(self, value):
+        self.dumped.append(value)
+        return json.dumps(value)
+
+    def __getattr__(self, name):
+        return getattr(json, name)
+
+
 class TestFastPath:
     """Lines in the writer's layout are read by numpy, with json's exact result.
 
@@ -349,8 +367,9 @@ class TestFastPath:
 
     @pytest.mark.parametrize("places", range(1, 18))
     def test_every_decimal_count(self, monkeypatch, json_reads, places):
-        # Blocks of I.ddd tokens of one length, integer digit 0 or 1: read by
-        # numpy up to 15 decimals; lines of longer ones go to json whole.
+        # Blocks of I.ddd tokens of one length, integer digit 0 or 1: computed
+        # by numpy up to 8 decimals, read by the block's json.loads from 9 to 15;
+        # lines of longer ones go to json whole.
         monkeypatch.setattr(catalog_module, "_READ_BLOCK", 1024)
         rng = random.Random(places)
 
@@ -376,7 +395,7 @@ class TestFastPath:
 
     @pytest.mark.parametrize("share", [0.05, 0.5, 1.0])
     def test_odd_tokens_among_short_decimals(self, monkeypatch, json_reads, share):
-        # Tokens other than I.ddd with at most 15 decimals, a few in a block or
+        # Tokens other than I.ddd with at most 8 decimals, a few in a block or
         # all of it (section rows), are read together exactly as json reads them.
         monkeypatch.setattr(catalog_module, "_READ_BLOCK", 2048)
         rng = random.Random(int(share * 100))
@@ -434,6 +453,46 @@ class TestFastPath:
         lines = path.read_text(encoding="utf-8").splitlines()
         _assert_same_tracks(list(load_catalog(path)), _oracle(lines))
         assert json_reads == []
+
+    def test_writer_shapes_are_computed_without_json(self, monkeypatch, json_reads, tmp_path):
+        # The shapes the writer builds from its digit tables (0.0, 1.0, and
+        # values in [1e-4, 1] with 1 to 8 decimals) are the ones the reader
+        # computes: json.loads reads each line's frame_hop and nothing else.
+        monkeypatch.setattr(catalog_module, "_READ_BLOCK", 512)
+        rng = np.random.default_rng(12)
+
+        def table_values(shape):
+            places = rng.integers(1, 9, shape)
+            values = np.rint(rng.uniform(1e-4, 1.0, shape) * 10.0**places) / 10.0**places
+            values.flat[rng.integers(0, values.size, values.size // 10)] = 0.0
+            values.flat[rng.integers(0, values.size, values.size // 10)] = 1.0
+            return values
+
+        tracks = [Track(id=f"t{i}", frames=table_values((30, 7)), frame_hop=0.25 * (i + 1),
+                        starts=np.array([0, 12, 25]), sections=table_values((3, 7)))
+                  for i in range(5)]
+        spy = _JsonSpy()
+        monkeypatch.setattr(catalog_module, "json", spy)
+        path = tmp_path / "tables.jsonl"
+        save_catalog(Catalog.from_tracks(tracks), path)
+        assert spy.dumped == [value for track in tracks for value in (track.id, track.frame_hop)]
+        _assert_same_tracks(list(load_catalog(path)), tracks)
+        assert spy.loaded == [repr(track.frame_hop) for track in tracks]
+        assert json_reads == []
+
+    def test_longer_decimals_in_a_block_go_to_json(self, monkeypatch):
+        # A block mixing 1-8, 9-15 and 17 decimals reads as json.loads does;
+        # exactly the tokens with more than 8 decimals reach it.
+        rng = random.Random(13)
+        tokens = [f"{rng.randrange(2)}.{rng.randrange(10**places):0{places}d}"
+                  for places in [*range(1, 16), 17] * 6]
+        rng.shuffle(tokens)
+        spy = _JsonSpy()
+        monkeypatch.setattr(catalog_module, "json", spy)
+        text = "], [".join(", ".join(tokens[lo : lo + 16]) for lo in range(0, len(tokens), 16))
+        values = catalog_module._parse_rows(text, 16)
+        assert values.tobytes() == np.array(json.loads(f"[[{text}]]")).tobytes()
+        assert spy.loaded == [f"[{','.join(t for t in tokens if len(t) > 10)}]"]
 
     def test_layout_lines_are_read_without_json_at_any_length(self, json_reads):
         rng = np.random.default_rng(5)

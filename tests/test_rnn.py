@@ -805,6 +805,16 @@ class TestTrain:
             train(model, [pair], TrainConfig(context_length=2, epochs=3))
         assert info.value.epoch == 1
 
+    def test_epoch_loss_overflow_reports_epoch(self):
+        # A target element of 1e154 makes each batch's loss about 2.5e307, which
+        # is finite; the epoch's sum of 40 of them is not.
+        pairs = [pair._replace(target=np.array([1e154, 0.5, 0.5, 0.5]))
+                 for pair in toy_pairs(40, 3, 4, seed=7)]
+        config = TrainConfig(context_length=3, epochs=2, batch_size=1)
+        with pytest.raises(TrainingDivergedError, match="^epoch 1: non-finite epoch loss$") as info:
+            train(init_model(2, 4, 4, seed=7), pairs, config)
+        assert info.value.epoch == 1
+
     @pytest.mark.parametrize("field, value", [
         ("learning_rate", math.nan), ("learning_rate", math.inf), ("learning_rate", -1e-3),
         ("clip_norm", math.nan), ("clip_norm", 0.0), ("clip_norm", -math.inf),

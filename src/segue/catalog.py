@@ -298,7 +298,7 @@ def _read_tracks(lines: Iterable[str]) -> list[Track]:
 def _parse_line(line: str, lineno: int) -> Track:
     try:
         record = json.loads(line)
-    except ValueError as exc:  # malformed JSON, or an integer beyond ``int``'s digit limit
+    except (ValueError, RecursionError) as exc:  # malformed, too deep, or past the int digit limit
         raise CatalogError(f"line {lineno}: invalid JSON: {exc}") from None
     return _parse_record(record, lineno, booleans="true" in line or "false" in line)
 

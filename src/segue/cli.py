@@ -295,7 +295,10 @@ def _run_compare(args: argparse.Namespace) -> int:
 
 def _run_export(args: argparse.Namespace) -> int:
     catalog = load_catalog(args.input)
-    data = json.loads(Path(args.playlist).read_text(encoding="utf-8"))
+    try:
+        data = json.loads(Path(args.playlist).read_text(encoding="utf-8"))
+    except RecursionError:
+        raise ValueError(f"{args.playlist}: playlist nests too deeply to read") from None
     result = playlist_mod.Playlist.from_dict(data)
     matrix = playlist_mod.export_transition_matrix(result, catalog)
     playlist_mod.write_transition_csv(matrix, args.output)

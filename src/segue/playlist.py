@@ -96,7 +96,7 @@ class Playlist:
         try:
             steps = [
                 PlaylistStep(
-                    prediction=np.asarray(entry["prediction"], dtype=np.float64),
+                    prediction=_prediction(entry["prediction"], index),
                     gap=NeighbourGap(
                         best_id=entry["chosen"],
                         best_score=entry["score"],
@@ -107,7 +107,7 @@ class Playlist:
                     ),
                     no_near_neighbour=entry["no_near_neighbour"],
                 )
-                for entry in data["steps"]
+                for index, entry in enumerate(data["steps"])
             ]
             return cls(
                 track_ids=list(data["tracks"]),
@@ -120,6 +120,14 @@ class Playlist:
             raise ValueError(f"playlist is missing key {exc}") from None
         except TypeError:
             raise ValueError("playlist is not a JSON object as generate writes it") from None
+
+
+def _prediction(values: object, index: int) -> np.ndarray:
+    """A saved step's prediction as float64; a value beyond float range raises ``ValueError``."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except OverflowError:
+        raise ValueError(f"step {index}: prediction value beyond float range") from None
 
 
 def generate(
@@ -270,18 +278,21 @@ def read_transition_csv(path) -> TransitionMatrix:
     """Parse a transition CSV back into labels and rows."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if not header or header[0] != "label":
-            raise ValueError("not a transition matrix CSV")
-        labels, rows = [], []
-        for record in reader:
-            if len(record) != len(header):
-                raise ValueError(
-                    f"line {reader.line_num}: {max(len(record) - 1, 0)} values, "
-                    f"expected {len(header) - 1}"
-                )
-            labels.append(record[0])
-            rows.append(np.array([float(v) for v in record[1:]]))
+        try:
+            header = next(reader, None)
+            if not header or header[0] != "label":
+                raise ValueError("not a transition matrix CSV")
+            labels, rows = [], []
+            for record in reader:
+                if len(record) != len(header):
+                    raise ValueError(
+                        f"line {reader.line_num}: {max(len(record) - 1, 0)} values, "
+                        f"expected {len(header) - 1}"
+                    )
+                labels.append(record[0])
+                rows.append(np.array([float(v) for v in record[1:]]))
+        except csv.Error as exc:  # before Python 3.11, a NUL byte or an overlong field
+            raise ValueError(f"line {reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError("transition matrix CSV has no rows")
     return TransitionMatrix(labels=labels, rows=np.stack(rows))

@@ -20,10 +20,11 @@ unmasked steps, again layer by layer.
 
 Nested training windows share one run. A track's windows ``sections[0:1]``,
 ``sections[0:2]``, ... hold the same leading rows, and identical input bits
-give identical states, so an item whose real rows are, byte for byte, the
-leading real rows of another item's is not run: it reads its prediction from
-that item's top-layer output at its own last real step, and its gradient
-enters the backward pass there.
+give identical states. So, with the items taken longest first (ties in batch
+order), each item rides on the first item whose real rows start, byte for
+byte, with its own, and only the items that ride on themselves run. A rider
+reads its prediction from its carrier's top-layer output at its own last
+real step, and its gradient enters the backward pass there.
 
 A ``train`` call holds its working parameters, their gradients and Adam's
 two moments in one flat float64 vector each (``SequenceModel.over`` gives
@@ -344,39 +345,32 @@ def loss_and_gradients(
 def _shared_runs(windows: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The items of a (B, N, D) batch that run, and where every item reads out.
 
-    An item rides on a carrier when its real rows are, byte for byte, the
-    carrier's leading real rows (bytes, so -0.0 and 0.0 differ). Items are
-    keyed by their first real row and, within a key, taken longest first,
-    so each rides on the first longer or equal item that holds its rows, or
-    carries itself. Returns the carriers' indices in batch order and, per
-    item, the index of its last real step among the step-major unmasked
-    positions of the carriers' run; -1 for a fully masked item.
+    One rule: the items with real rows are taken longest first (stably, so
+    batch order breaks ties) and grouped by their first real row, and each
+    item rides on the first item of its group whose real-row bytes start
+    with its own (bytes, so -0.0 and 0.0 differ). That is the item itself
+    when no longer item holds its rows; otherwise it is a carrier, since
+    anything it could ride on would hold the item's rows and come earlier.
+    Returns the carriers' indices in batch order and, per item, the index
+    of its last real step among the step-major unmasked positions of the
+    carriers' run; -1 for a fully masked item.
     """
     rows = [window[mask].tobytes() for window, mask in zip(windows, masks)]
     width = windows.shape[2] * windows.itemsize
-    keyed: dict[bytes, list[int]] = {}
-    for item, real in enumerate(rows):
-        if real:
-            keyed.setdefault(real[:width], []).append(item)
-    carrier = list(range(len(rows)))
-    for group in keyed.values():
-        group.sort(key=lambda item: -len(rows[item]))  # stable: equal rows ride on the first
-        runs: list[int] = []
-        for item in group:
-            carrier[item] = next((run for run in runs if rows[run].startswith(rows[item])), item)
-            if carrier[item] == item:
-                runs.append(item)
-    carriers = np.array([item for item, real in enumerate(rows) if real and carrier[item] == item],
-                        dtype=np.intp)
+    groups: dict[bytes, list[int]] = {}
+    for item in sorted(range(len(rows)), key=lambda item: -len(rows[item])):
+        if rows[item]:
+            groups.setdefault(rows[item][:width], []).append(item)
+    carrier = {item: next(run for run in group if rows[run].startswith(rows[item]))
+               for group in groups.values() for item in group}
+    carriers = np.array(sorted(set(carrier.values())), dtype=np.intp)
     run_masks = masks[carriers]
     position = np.full(run_masks.shape, -1)
     position.T[run_masks.T] = np.arange(np.count_nonzero(run_masks))  # step-major, as ``_run``
     slot = dict(zip(carriers.tolist(), range(len(carriers))))
     readout = np.full(len(rows), -1)
-    for item, real in enumerate(rows):
-        if real:
-            run = slot[carrier[item]]
-            readout[item] = position[run][run_masks[run]][len(real) // width - 1]
+    for item, run in carrier.items():
+        readout[item] = position[slot[run]][run_masks[slot[run]]][len(rows[item]) // width - 1]
     return carriers, readout
 
 

@@ -113,6 +113,14 @@ class TestLoadCatalog:
         path.write_text(f"\n{good % 'a'}\n   \n\n{good % 'b'}\n\t\n")
         assert load_catalog(path).track_ids == ["a", "b"]
 
+    def test_line_nested_beyond_the_recursion_limit_gets_the_json_error(self, tmp_path):
+        path = tmp_path / "cat.jsonl"
+        good = '{"id": "a", "frame_hop": 0.5, "frames": [[0.25, 0.5]]}'
+        deep = '{"id": "b", "frame_hop": 0.5, "frames": %s}' % ("[" * 100_000 + "]" * 100_000)
+        path.write_text(f"{good}\n{deep}\n")
+        with pytest.raises(CatalogError, match="^line 2: invalid JSON: maximum recursion depth exceeded"):
+            load_catalog(path)
+
     def test_non_ascii_character_among_layout_numbers_gets_the_json_error(self, tmp_path):
         line = '{"id": "a", "frame_hop": 0.5, "frames": [[0.25, 0.5], [0.75, \u00bd]]}'
         with pytest.raises(json.JSONDecodeError) as expected:

@@ -22,6 +22,13 @@ def run(args):
     return cli.main(args)
 
 
+def error_lines(capsys):
+    """The ``segue:`` lines the last command printed to stderr; a traceback would show too."""
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return [line for line in err.splitlines() if line.startswith("segue:")]
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """synth -> segment -> train, shared across the module's tests."""
@@ -419,7 +426,11 @@ class TestExitCodes:
                                            "prediction": data["steps"][0]["prediction"][:5]},
                                           *data["steps"][1:]]},
          "step 0: prediction has shape (5,), expected (12,)"),
-    ], ids=["missing-metric", "top-level-list", "no-steps", "cut-prediction"])
+        (lambda data: {**data, "steps": [{**data["steps"][0],
+                                           "prediction": [10**400, *data["steps"][0]["prediction"][1:]]},
+                                          *data["steps"][1:]]},
+         "step 0: prediction value beyond float range"),
+    ], ids=["missing-metric", "top-level-list", "no-steps", "cut-prediction", "huge-prediction"])
     def test_malformed_playlist_is_data_error(self, pipeline, tmp_path, capsys, edit, message):
         playlist_path = tmp_path / "playlist.json"
         assert run(["generate", "-i", str(pipeline["segmented"]), "-m", str(pipeline["model"]),
@@ -430,7 +441,8 @@ class TestExitCodes:
         code = run(["export-transitions", "-i", str(pipeline["segmented"]),
                     "-p", str(playlist_path), "-o", str(tmp_path / "t.csv")])
         assert code == 2
-        assert message in capsys.readouterr().err
+        [line] = error_lines(capsys)
+        assert line.startswith("segue: error: ") and message in line
 
     def test_integer_beyond_float_range_is_data_error(self, tmp_path, capsys):
         catalog = tmp_path / "huge.jsonl"
@@ -447,6 +459,22 @@ class TestExitCodes:
         code = run(["segment", "-i", str(catalog), "-o", str(tmp_path / "o.jsonl")])
         assert code == 2
         assert "segue: error: line 1: invalid JSON: Exceeds the limit" in capsys.readouterr().err
+
+    def test_deeply_nested_playlist_is_data_error(self, pipeline, tmp_path, capsys):
+        playlist_path = tmp_path / "deep.json"
+        playlist_path.write_text("[" * 100_000 + "]" * 100_000)
+        code = run(["export-transitions", "-i", str(pipeline["segmented"]),
+                    "-p", str(playlist_path), "-o", str(tmp_path / "t.csv")])
+        assert code == 2
+        assert error_lines(capsys) == [f"segue: error: {playlist_path}: playlist nests too deeply to read"]
+
+    def test_deeply_nested_catalog_line_is_data_error(self, tmp_path, capsys):
+        catalog = tmp_path / "deep.jsonl"
+        catalog.write_text('{"id": "a", "frame_hop": 0.5, "frames": %s}\n' % ("[" * 100_000 + "]" * 100_000))
+        code = run(["segment", "-i", str(catalog), "-o", str(tmp_path / "o.jsonl")])
+        assert code == 2
+        [line] = error_lines(capsys)
+        assert line.startswith("segue: error: line 1: invalid JSON: maximum recursion depth exceeded")
 
     def test_zero_dimension_catalog_is_data_error(self, tmp_path, capsys):
         catalog = tmp_path / "empty-rows.jsonl"

@@ -214,6 +214,12 @@ class TestGenerate:
         with pytest.raises(ValueError, match="playlist is missing key 'margin'"):
             Playlist.from_dict(data)
 
+    def test_from_dict_names_the_step_of_a_prediction_beyond_float_range(self):
+        data = generate(make_catalog(), make_model(), "t00", 3, Metric("l2")).to_dict()
+        data["steps"][1]["prediction"][0] = 10**400
+        with pytest.raises(ValueError, match="^step 1: prediction value beyond float range$"):
+            Playlist.from_dict(data)
+
     @pytest.mark.parametrize("data", [[], "playlist", {"seed": "t00", "metric": "l2",
                                       "tracks": ["t00"], "truncated": False, "steps": 3}])
     def test_from_dict_rejects_other_shapes(self, data):

@@ -424,6 +424,81 @@ def counted_positions(monkeypatch):
     return counts
 
 
+def shared_runs_oracle(windows: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The nesting search ``rnn._shared_runs`` replaced, kept as its oracle.
+
+    The items of a (B, N, D) batch that run, and where every item reads out.
+
+    An item rides on a carrier when its real rows are, byte for byte, the
+    carrier's leading real rows (bytes, so -0.0 and 0.0 differ). Items are
+    keyed by their first real row and, within a key, taken longest first,
+    so each rides on the first longer or equal item that holds its rows, or
+    carries itself. Returns the carriers' indices in batch order and, per
+    item, the index of its last real step among the step-major unmasked
+    positions of the carriers' run; -1 for a fully masked item.
+    """
+    rows = [window[mask].tobytes() for window, mask in zip(windows, masks)]
+    width = windows.shape[2] * windows.itemsize
+    keyed: dict[bytes, list[int]] = {}
+    for item, real in enumerate(rows):
+        if real:
+            keyed.setdefault(real[:width], []).append(item)
+    carrier = list(range(len(rows)))
+    for group in keyed.values():
+        group.sort(key=lambda item: -len(rows[item]))  # stable: equal rows ride on the first
+        runs: list[int] = []
+        for item in group:
+            carrier[item] = next((run for run in runs if rows[run].startswith(rows[item])), item)
+            if carrier[item] == item:
+                runs.append(item)
+    carriers = np.array([item for item, real in enumerate(rows) if real and carrier[item] == item],
+                        dtype=np.intp)
+    run_masks = masks[carriers]
+    position = np.full(run_masks.shape, -1)
+    position.T[run_masks.T] = np.arange(np.count_nonzero(run_masks))  # step-major, as ``_run``
+    slot = dict(zip(carriers.tolist(), range(len(carriers))))
+    readout = np.full(len(rows), -1)
+    for item, real in enumerate(rows):
+        if real:
+            run = slot[carrier[item]]
+            readout[item] = position[run][run_masks[run]][len(real) // width - 1]
+    return carriers, readout
+
+
+def sharing_batch(rng):
+    """A batch of the cases ``_shared_runs`` must tell apart: nested windows of a few
+    tracks whose values come from {0, 0.5, 1} (so tracks share first rows), sliding
+    windows past the context, duplicates, a zero turned to -0.0, masks with holes and
+    fully masked items, in random order."""
+    length, dim = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+    tracks = [rng.integers(0, 3, (int(rng.integers(1, 9)), dim)) / 2.0
+              for _ in range(int(rng.integers(1, 4)))]
+    windows, masks = [], []
+    for _ in range(int(rng.integers(1, 17))):
+        sections = tracks[int(rng.integers(len(tracks)))]
+        end = int(rng.integers(1, len(sections) + 1))
+        filled = min(end, length)
+        window, mask = np.zeros((length, dim)), np.zeros(length, dtype=bool)
+        window[length - filled :], mask[length - filled :] = sections[end - filled : end], True
+        kind = rng.integers(6)
+        if kind == 0 and windows:  # a duplicate
+            other = int(rng.integers(len(windows)))
+            window, mask = windows[other].copy(), masks[other].copy()
+        elif kind == 1:  # a zero turned to -0.0
+            zeros = np.flatnonzero(window[mask] == 0.0)
+            if zeros.size:
+                rows = window[mask]
+                rows.flat[int(rng.choice(zeros))] = -0.0
+                window[mask] = rows
+        elif kind == 2:  # a hole in the mask, its row left as it was
+            mask[int(rng.integers(length))] = False
+        elif kind == 3:
+            mask[:] = False
+        windows.append(window)
+        masks.append(mask)
+    return np.array(windows), np.array(masks)
+
+
 class TestNestedWindows:
     """Items whose real rows lead another item's are read out of that item's run."""
 
@@ -471,6 +546,19 @@ class TestNestedWindows:
         counts = counted_positions(monkeypatch)
         loss_and_gradients(init_model(2, 3, 2, seed=80), batch)
         assert counts == [3]  # the -0.0 item runs alone; the +0.0 prefix rides
+
+    def test_carriers_and_readouts_equal_the_nesting_search(self):
+        rng = np.random.default_rng(81)
+        shared = 0
+        for _ in range(2000):
+            windows, masks = sharing_batch(rng)
+            carriers, readout = rnn_module._shared_runs(windows, masks)
+            expected_carriers, expected_readout = shared_runs_oracle(windows, masks)
+            assert carriers.dtype == expected_carriers.dtype
+            np.testing.assert_array_equal(carriers, expected_carriers)
+            np.testing.assert_array_equal(readout, expected_readout)
+            shared += int(np.count_nonzero(readout >= 0)) - len(carriers)
+        assert shared > 2000  # the mix does share runs, so the rule is exercised
 
 
 class TestBatchedPath:

@@ -250,15 +250,15 @@ def load_catalog(path: str | Path) -> Catalog:
     Lines in the writer's layout are parsed in numpy in batches of about
     ``_BATCH_TEXT`` characters, any other line by ``json`` (``_read_tracks``);
     which path read a line never shows in the result. Raises ``CatalogError``
-    naming the offending line and track for malformed JSON, dimension
-    mismatches, out-of-range values, or duplicate ids.
+    naming the file, then the offending line and track, for malformed JSON,
+    dimension mismatches, out-of-range values, or duplicate ids.
     """
     path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:
-        tracks = _read_tracks(handle)
-    if not tracks:
-        raise CatalogError(f"{path}: catalog file contains no tracks")
     try:
+        with path.open("r", encoding="utf-8") as handle:
+            tracks = _read_tracks(handle)
+        if not tracks:
+            raise CatalogError("catalog file contains no tracks")
         return Catalog.from_tracks(tracks)
     except CatalogError as exc:
         raise CatalogError(f"{path}: {exc}") from None

@@ -6,13 +6,13 @@ appends the unused track whose start segment ranks best under the chosen
 metric. Exports a stacked transition matrix (segment rows interleaved with
 prediction rows) and a coherence report.
 
-A request carries the LSTM state along the history: while the history still
-fits the model's context, each step advances the state by the newly chosen
-track's sections only; once it is longer, the window slides, and each step
-calls ``predict_next`` on the whole history, which runs its last N sections
-from zero. Either way the prediction is the one ``predict_next`` gives on the
-whole history, and every step of those runs is dense, so the state is carried
-without gathering rows. The candidates' start sections are stacked once per
+Each step makes one LSTM call, ``advance``. While the history still fits the
+model's context, it advances the carried state by the newly chosen track's
+sections only; once the history is longer, the window slides, which resets
+the state to zero and runs the last N sections from there. Either way the
+prediction is the one ``predict_next`` gives on the whole history, and every
+item of those runs is real at every step, so the state rows are read and
+written as views. The candidates' start sections are stacked once per
 request, and a used-mask drops the chosen tracks. Each step scores the unused
 candidates once and takes the best in one pass (``StartSections.gap``); at
 debug level it also logs the best score's lead over the runner-up.
@@ -32,7 +32,7 @@ import numpy as np
 from .catalog import Catalog, CatalogError
 from .files import atomic_output
 from .model import SequenceModel
-from .rnn import advance, predict_next
+from .rnn import advance
 from .similarity import DEFAULT_NN_THRESHOLD, Metric, NeighbourGap, StartSections, cosine_distance
 
 logger = logging.getLogger(__name__)
@@ -92,29 +92,41 @@ class Playlist:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Playlist":
-        """Rebuild a playlist from ``to_dict`` output; a malformed one raises ``ValueError``."""
+        """Rebuild a playlist from ``to_dict`` output.
+
+        A malformed one raises ``ValueError`` naming the key, and the step
+        for a step's key: track ids are non-empty strings, numbers are finite
+        and not booleans, flags are booleans, and the DCG depth is null or a
+        positive integer.
+        """
         try:
+            tracks, depth = data["tracks"], data.get("dcg_depth")
+            if not (isinstance(tracks, list) and all(map(_track_id, tracks))):
+                raise ValueError("'tracks' must be a list of non-empty strings")
+            if depth is not None and not (type(depth) is int and depth >= 1):
+                raise ValueError("'dcg_depth' must be null or a positive integer")
             steps = [
                 PlaylistStep(
                     prediction=_prediction(entry["prediction"], index),
                     gap=NeighbourGap(
-                        best_id=entry["chosen"],
-                        best_score=entry["score"],
-                        median_score=entry["median_score"],
-                        margin=entry["margin"],
-                        best_cosine_distance=entry["best_cosine_distance"],
+                        best_id=_checked(entry, "chosen", "a non-empty string", index),
+                        best_score=_checked(entry, "score", "a finite number", index),
+                        median_score=_checked(entry, "median_score", "a finite number", index),
+                        margin=_checked(entry, "margin", "a finite number", index),
+                        best_cosine_distance=_checked(
+                            entry, "best_cosine_distance", "a finite number", index),
                         runner_up_gap=math.nan,  # not saved
                     ),
-                    no_near_neighbour=entry["no_near_neighbour"],
+                    no_near_neighbour=_checked(entry, "no_near_neighbour", "a boolean", index),
                 )
                 for index, entry in enumerate(data["steps"])
             ]
             return cls(
-                track_ids=list(data["tracks"]),
+                track_ids=list(tracks),
                 steps=steps,
-                metric=Metric(kind=data["metric"], dcg_depth=data.get("dcg_depth")),
-                seed_id=data["seed"],
-                truncated=data["truncated"],
+                metric=Metric(kind=data["metric"], dcg_depth=depth),
+                seed_id=_checked(data, "seed", "a non-empty string"),
+                truncated=_checked(data, "truncated", "a boolean"),
             )
         except KeyError as exc:
             raise ValueError(f"playlist is missing key {exc}") from None
@@ -122,12 +134,54 @@ class Playlist:
             raise ValueError("playlist is not a JSON object as generate writes it") from None
 
 
-def _prediction(values: object, index: int) -> np.ndarray:
-    """A saved step's prediction as float64; a value beyond float range raises ``ValueError``."""
+def _track_id(value: object) -> str | None:
+    return value if isinstance(value, str) and value else None
+
+
+def _is_number(value: object) -> bool:
+    """A JSON number: an int or a float, not a boolean."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _finite(value: object) -> float | None:
+    """A JSON number as a finite float; None for anything else, or beyond float range."""
+    if not _is_number(value):
+        return None
     try:
-        return np.asarray(values, dtype=np.float64)
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+_KINDS = {  # what a saved value must be, and its checked form (None when it is not)
+    "a non-empty string": _track_id,
+    "a finite number": _finite,
+    "a boolean": lambda value: value if isinstance(value, bool) else None,
+}
+
+
+def _checked(entry: dict, key: str, kind: str, index: int | None = None):
+    """``entry[key]`` checked as ``kind``; ``ValueError`` names the key, and step ``index``."""
+    value = _KINDS[kind](entry[key])
+    if value is None:
+        where = "" if index is None else f"step {index}: "
+        raise ValueError(f"{where}{key!r} must be {kind}")
+    return value
+
+
+def _prediction(values: object, index: int) -> np.ndarray:
+    """A saved step's prediction as float64; raises ``ValueError`` naming the step unless it is
+    a list of finite numbers."""
+    if not (isinstance(values, list) and all(map(_is_number, values))):
+        raise ValueError(f"step {index}: 'prediction' must be a list of finite numbers")
+    try:
+        prediction = np.array(values, dtype=np.float64)
     except OverflowError:
         raise ValueError(f"step {index}: prediction value beyond float range") from None
+    if not np.isfinite(prediction).all():
+        raise ValueError(f"step {index}: 'prediction' must be a list of finite numbers")
+    return prediction
 
 
 def generate(
@@ -142,8 +196,12 @@ def generate(
 
     Each step predicts from the last N segment vectors of the tracks chosen so
     far (N being the model's context length) and appends the best-ranked
-    unused track. Deterministic for identical inputs. If the catalog runs out
-    before the target length, the playlist is returned truncated.
+    unused track, with one ``advance`` per step: it carries the state over
+    the newly chosen track's sections while the history fits the context,
+    and once the window slides it resets the state to zero and runs the
+    last N sections from there. Deterministic for identical inputs. If the
+    catalog runs out before the target length, the playlist is returned
+    truncated.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
@@ -151,8 +209,7 @@ def generate(
         raise ValueError(f"nn_threshold must be finite, got {nn_threshold}")
     if seed_id not in catalog:
         raise ValueError(f"seed track '{seed_id}' not in catalog")
-    if not catalog.is_segmented:
-        raise CatalogError("catalog is not segmented")
+    starts = StartSections.of(catalog)
     if model.dimension != catalog.dimension:
         raise ValueError(
             f"model dimension {model.dimension} != catalog dimension {catalog.dimension}"
@@ -166,7 +223,6 @@ def generate(
     if context is None:
         raise ValueError("model has no context length; train it or set context_length")
     debug = logger.isEnabledFor(logging.DEBUG)
-    starts = StartSections.of(catalog)
     used = starts.ids == seed_id
     pending = catalog.tracks[seed_id].sections  # sections the state has not seen
     history = list(pending)
@@ -180,12 +236,9 @@ def generate(
             )
             break
         began = time.perf_counter() if debug else 0.0
-        if len(history) <= context:
-            # The whole history is the window: carry the state over the new sections.
-            prediction, state = advance(model, pending, state)
-        else:
-            # The window slides: run its last N sections from zero.
-            prediction = predict_next(model, history)
+        if len(history) > context:
+            pending, state = history[-context:], None
+        prediction, state = advance(model, pending, state)
         gap, best = starts.gap(prediction, metric, used)
         event = gap.no_near_neighbour(nn_threshold)
         if event:
@@ -275,7 +328,11 @@ def write_transition_csv(matrix: TransitionMatrix, path) -> None:
 
 
 def read_transition_csv(path) -> TransitionMatrix:
-    """Parse a transition CSV back into labels and rows."""
+    """Parse a transition CSV back into labels and rows.
+
+    Raises ``ValueError``, naming the line for a row fault: a wrong value
+    count, a value that is not a number, or a NaN or infinite one.
+    """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:
@@ -289,8 +346,14 @@ def read_transition_csv(path) -> TransitionMatrix:
                         f"line {reader.line_num}: {max(len(record) - 1, 0)} values, "
                         f"expected {len(header) - 1}"
                     )
+                try:
+                    row = np.array([float(v) for v in record[1:]])
+                except ValueError as exc:
+                    raise ValueError(f"line {reader.line_num}: {exc}") from None
+                if not np.isfinite(row).all():
+                    raise ValueError(f"line {reader.line_num}: non-finite value")
                 labels.append(record[0])
-                rows.append(np.array([float(v) for v in record[1:]]))
+                rows.append(row)
         except csv.Error as exc:  # before Python 3.11, a NUL byte or an overlong field
             raise ValueError(f"line {reader.line_num}: {exc}") from None
     if not rows:

@@ -10,13 +10,15 @@ mask; masked steps are skipped entirely, so padding can never influence the
 prediction. A minibatch runs layer by layer: one matrix product applies a
 layer's input weights ``w_x`` to all unmasked (item, step) positions, then
 each step adds only the product of the contiguous recurrent weights ``w_h``
-with the hidden state of the items active there. A step where every item is
-real (every step of ``advance`` and of unpadded windows) uses the previous
-step's output rows as its state, with no gather or scatter; a step that
-leaves items out gathers their rows. Loss is the mean squared error between
+with the hidden state of the items active there. Each layer holds its state
+in one (B, H) buffer, and one rule says which rows a step reads and writes:
+positions are step-major and items ascend within a step, so at a step where
+every item is real (every step of ``advance`` and of unpadded windows) the
+rows are all of them, taken as a view; a step that leaves items out takes
+its items' rows by index. Loss is the mean squared error between
 prediction and target, averaged over feature dimensions and batch items, and
 gradients are computed by one backpropagation through time over the batch's
-unmasked steps, again layer by layer.
+unmasked steps, again layer by layer, by the same rows rule.
 
 Nested training windows share one run. A track's windows ``sections[0:1]``,
 ``sections[0:2]``, ... hold the same leading rows, and identical input bits
@@ -162,9 +164,11 @@ def _run(
     state as it was. Each layer applies its input weights to all positions in
     one product and then walks the steps, adding only the recurrent product
     of the rows active there; a run from the zero state skips it at the first
-    step, where it is zero. At a step where every item is real, the state
-    rows are the previous step's outputs in item order and are used as they
-    are; only a step that leaves items out gathers and scatters rows by item.
+    step, where it is zero. A layer's state lives in its own (count, H)
+    buffer, and a step reads it as ``h[rows], c[rows]`` and writes its new
+    rows back there. ``rows`` is every row, a view, when every item is real
+    at the step (its positions are then the items in order), and the step's
+    items otherwise.
     A layer's outputs at every position are the next layer's inputs. A
     ``tape`` gets the item count and the positions, then per layer (input,
     previous hidden, gates, previous cell, tanh of the new cell), one row per
@@ -189,16 +193,9 @@ def _run(
         out = np.empty((len(steps), size))
         if tape is not None:
             h_prev, c_prev, tanh_c = np.empty((3, len(steps), size))
-        carried = False  # h and c are views of the previous step's rows
         for lo, hi in spans:
-            dense = hi - lo == count  # every item is real here, in item order
-            if dense:
-                h_in, c_in = h, c
-            else:
-                if carried:
-                    h, c, carried = h.copy(), c.copy(), False
-                rows = items[lo:hi]
-                h_in, c_in = h[rows], c[rows]
+            rows = slice(None) if hi - lo == count else items[lo:hi]
+            h_in, c_in = h[rows], c[rows]
             if lo or state is not None:  # from the zero state, the first step's product is 0
                 gates[lo:hi] += h_in @ w_h
             z = blocks[lo:hi]
@@ -212,10 +209,7 @@ def _run(
             else:
                 np.multiply(o, np.tanh(c_new, out=tanh_c[lo:hi]), out=out[lo:hi])
                 h_prev[lo:hi], c_prev[lo:hi] = h_in, c_in
-            if dense:
-                h, c, carried = out[lo:hi], c_new, True
-            else:
-                h[rows], c[rows] = out[lo:hi], c_new
+            h[rows], c[rows] = out[lo:hi], c_new
         if tape is not None:
             tape.append((x, h_prev, gates, c_prev, tanh_c))
         hidden.append(h)
@@ -395,7 +389,8 @@ def _bptt(model: SequenceModel, tape: list, d_out: np.ndarray, grads: dict) -> N
         dh, dc = np.zeros((2, count, size))  # per item: from the item's next step
         dz = np.empty_like(gates)
         for lo, hi in reversed(spans):
-            rows, z, tc = items[lo:hi], gates[lo:hi], tanh_c[lo:hi]
+            rows = slice(None) if hi - lo == count else items[lo:hi]
+            z, tc = gates[lo:hi], tanh_c[lo:hi]
             i, f, o, g = (z[:, k * size : (k + 1) * size] for k in range(4))
             d_h = dh[rows] + dx[lo:hi]
             d_c = dc[rows] + d_h * o * (1.0 - tc**2)
@@ -573,4 +568,4 @@ def predict_next(model: SequenceModel, recent_segments: np.ndarray) -> np.ndarra
         raise ValueError(f"segment dimension {recent.shape[1]} != model dimension {model.dimension}")
     if model.context_length is None:
         raise ValueError("model has no context length; train it or set context_length")
-    return forward(model, recent[-model.context_length :])
+    return advance(model, recent[-model.context_length :])[0]

@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -108,7 +109,7 @@ class TestLoadCatalog:
         path = tmp_path / "cat.jsonl"
         good = '{"id": "%s", "frame_hop": 0.5, "frames": [[0.25, 0.5]]}'
         path.write_text(f"\n{good % 'a'}\n   \n\n{good % 'b'}\n\t\n{{not json\n")
-        with pytest.raises(CatalogError, match="^line 7: invalid JSON: "):
+        with pytest.raises(CatalogError, match=f"^{re.escape(str(path))}: line 7: invalid JSON: "):
             load_catalog(path)
         path.write_text(f"\n{good % 'a'}\n   \n\n{good % 'b'}\n\t\n")
         assert load_catalog(path).track_ids == ["a", "b"]
@@ -118,7 +119,8 @@ class TestLoadCatalog:
         good = '{"id": "a", "frame_hop": 0.5, "frames": [[0.25, 0.5]]}'
         deep = '{"id": "b", "frame_hop": 0.5, "frames": %s}' % ("[" * 100_000 + "]" * 100_000)
         path.write_text(f"{good}\n{deep}\n")
-        with pytest.raises(CatalogError, match="^line 2: invalid JSON: maximum recursion depth exceeded"):
+        with pytest.raises(CatalogError, match=f"^{re.escape(str(path))}: line 2: invalid JSON: "
+                                               "maximum recursion depth exceeded"):
             load_catalog(path)
 
     def test_non_ascii_character_among_layout_numbers_gets_the_json_error(self, tmp_path):
@@ -129,7 +131,7 @@ class TestLoadCatalog:
         path.write_text(line + "\n", encoding="utf-8")
         with pytest.raises(CatalogError) as caught:
             load_catalog(path)
-        assert str(caught.value) == f"line 1: invalid JSON: {expected.value}"
+        assert str(caught.value) == f"{path}: line 1: invalid JSON: {expected.value}"
 
     @pytest.mark.parametrize("line", [
         '{"id": "a", "frame_hop": 1%s, "frames": [[0.25, 0.5]]}' % ("0" * 399),
@@ -138,14 +140,16 @@ class TestLoadCatalog:
     def test_integer_frame_hop_beyond_float_range_is_invalid(self, tmp_path, line):
         path = tmp_path / "cat.jsonl"
         path.write_text(line + "\n", encoding="utf-8")
-        with pytest.raises(CatalogError, match="^line 1: track 'a': invalid 'frame_hop'$"):
+        with pytest.raises(CatalogError,
+                           match=f"^{re.escape(str(path))}: line 1: track 'a': invalid 'frame_hop'$"):
             load_catalog(path)
 
     @pytest.mark.parametrize("record", ["[1, 2]", '"track"', "0.5", "null"])
     def test_line_that_is_not_an_object(self, tmp_path, record):
         path = tmp_path / "cat.jsonl"
         path.write_text('{"id": "a", "frame_hop": 0.5, "frames": [[0.25]]}\n' + record + "\n")
-        with pytest.raises(CatalogError, match="^line 2: record is not a JSON object$"):
+        with pytest.raises(CatalogError,
+                           match=f"^{re.escape(str(path))}: line 2: record is not a JSON object$"):
             load_catalog(path)
 
     @pytest.mark.parametrize("frames", ["", ', "frames": []', ', "frames": {}', ', "frames": 0.5'],
@@ -153,7 +157,8 @@ class TestLoadCatalog:
     def test_missing_or_empty_frames(self, tmp_path, frames):
         path = tmp_path / "cat.jsonl"
         path.write_text('{"id": "a", "frame_hop": 0.5%s}\n' % frames)
-        with pytest.raises(CatalogError, match="^line 1: track 'a': missing or empty 'frames'$"):
+        with pytest.raises(CatalogError, match=f"^{re.escape(str(path))}: "
+                                               "line 1: track 'a': missing or empty 'frames'$"):
             load_catalog(path)
 
     def test_segments_field_round_trip(self, tmp_path):
@@ -193,12 +198,13 @@ class TestLoadCatalog:
     _FRAMES = [[0.1, 0.2, 0.3], [0.2, 0.3, 0.4], [0.3, 0.4, 0.5], [0.4, 0.5, 0.6]]
 
     @pytest.mark.parametrize("segments, message", [
-        ([{"start": 0}], "line {line}: track '{id}': malformed segment entry"),
+        ([{"start": 0}], "{path}: line {line}: track '{id}': malformed segment entry"),
         ([{"start": 0, "features": [0.1, 0.2, 0.3]}, [2, [0.3, 0.4, 0.5]]],
-         "line {line}: track '{id}': malformed segment entry"),
-        ({"start": 0, "features": [0.1, 0.2, 0.3]}, "line {line}: track '{id}': invalid 'segments'"),
+         "{path}: line {line}: track '{id}': malformed segment entry"),
+        ({"start": 0, "features": [0.1, 0.2, 0.3]},
+         "{path}: line {line}: track '{id}': invalid 'segments'"),
         ([{"start": 0, "features": ["x", 0.2, 0.3]}],
-         "line {line}: track '{id}': non-numeric segment features"),
+         "{path}: line {line}: track '{id}': non-numeric segment features"),
         ([{"start": 0, "features": [0.1, 0.2, 0.3]}, {"start": 2, "features": [0.1, 0.2]}],
          "{path}: track '{id}': segment feature dimension mismatch"),
         ([{"start": 0, "features": [0.1, 0.2, 0.3]}, {"start": 2, "features": [0.1, 0.2, 0.3, 0.4]}],
@@ -234,7 +240,8 @@ class TestLoadCatalog:
         path = tmp_path / "cat.jsonl"
         _write_jsonl(path, [{"id": "a", "frame_hop": 1.0, "frames": self._FRAMES,
                              "segments": [{"start": 2**64, "features": [0.1, 0.2, 0.3]}]}])
-        with pytest.raises(CatalogError, match=r"^line 1: track 'a': segment start outside frame range$"):
+        with pytest.raises(CatalogError, match=f"^{re.escape(str(path))}: "
+                                               r"line 1: track 'a': segment start outside frame range$"):
             load_catalog(path)
 
     def test_boolean_frame_hop_rejected(self, tmp_path):
@@ -260,7 +267,7 @@ class TestLoadCatalog:
         path.write_text(line + "\n", encoding="utf-8")
         with pytest.raises(CatalogError) as caught:
             load_catalog(path)
-        assert str(caught.value) == message
+        assert str(caught.value) == f"{path}: {message}"
 
     def test_true_in_an_id_is_not_a_value(self, tmp_path):
         path = tmp_path / "cat.jsonl"

@@ -24,7 +24,7 @@ _WIDE = ", ".join(["0"] * 20_000)  # a first frame row that claims a width of 20
 HOSTILE = {
     "ragged row": (
         ['{"id": "a", "frame_hop": 0.5, "frames": [[0.25, 0.5], [0.75]]}'],
-        "line 1: track 'a': frame dimension mismatch or non-numeric value"),
+        "{path}: line 1: track 'a': frame dimension mismatch or non-numeric value"),
     "ragged section rows": (
         ['{"id": "a", "frame_hop": 0.5, %s, "segments": [{"start": 0, "features": [0.25, 0.5]}, '
          '{"start": 1, "features": [0.5]}]}' % _FRAMES],
@@ -44,15 +44,15 @@ HOSTILE = {
     "true in a frame": (
         ['{"id": "a", "frame_hop": 0.5, "frames": [[true, 0.5]]}',
          '{"id": "b", "frame_hop": 0.5, "frames": [[0.5, 0.5, 0.5]]}'],
-        "line 1: track 'a': frame dimension mismatch or non-numeric value"),
+        "{path}: line 1: track 'a': frame dimension mismatch or non-numeric value"),
     "false in a section": (
         ['{"id": "a", "frame_hop": 0.5, %s, "segments": [{"start": 0, "features": [0.25, false]}]}'
          % _FRAMES],
-        "line 1: track 'a': non-numeric segment features"),
+        "{path}: line 1: track 'a': non-numeric segment features"),
     "rows in one features text": (
         ['{"id": "a", "frame_hop": 0.5, "frames": [[0.25], [0.5]], '
          '"segments": [{"start": 0, "features": [0.25], [0.5]}]}'],
-        "line 1: invalid JSON: Expecting property name enclosed in double quotes: "
+        "{path}: line 1: invalid JSON: Expecting property name enclosed in double quotes: "
         "line 1 column 104 (char 103)"),
     "no values in a frame": (
         ['{"id": "a", "frame_hop": 0.5, "frames": [[]]}'],
@@ -60,10 +60,10 @@ HOSTILE = {
     "true start": (
         ['{"id": "a", "frame_hop": 0.5, %s, "segments": [{"start": true, "features": [0.25, 0.5]}]}'
          % _FRAMES],
-        "line 1: track 'a': segment start must be an integer"),
+        "{path}: line 1: track 'a': segment start must be an integer"),
     "missing ]": (
         ['{"id": "a", "frame_hop": 0.5, "frames": [[0.25, 0.5], [0.75, 1.0]}'],
-        "line 1: invalid JSON: Expecting ',' delimiter: line 1 column 66 (char 65)"),
+        "{path}: line 1: invalid JSON: Expecting ',' delimiter: line 1 column 66 (char 65)"),
     "escaped id": (
         ['{"id": "a\\"b\\u00e9", "frame_hop": 0.5, "frames": [[0.25, 1.5]]}'],
         _OUT_OF_RANGE % 'a"bé'),
@@ -100,29 +100,29 @@ HOSTILE = {
     "bad line, JSON error later": (
         [_GOOD % 1, '{"id": "b", "frame_hop": 0.5, "frames": [[0.25, 0.5], [0.75]]}', _GOOD % 3,
          "{not json"],
-        "line 2: track 'b': frame dimension mismatch or non-numeric value"),
+        "{path}: line 2: track 'b': frame dimension mismatch or non-numeric value"),
     "bad number, JSON error later": (
         [_GOOD % 1, '{"id": "b", "frame_hop": 0.5, "frames": [[0.25, 00.5]]}', _GOOD % 3,
          "{not json"],
-        "line 2: invalid JSON: Expecting ',' delimiter: line 1 column 50 (char 49)"),
+        "{path}: line 2: invalid JSON: Expecting ',' delimiter: line 1 column 50 (char 49)"),
     "bad value, JSON error later": (
         [_GOOD % 1, '{"id": "b", "frame_hop": 0.5, "frames": [[0.25, 1.5]]}', _GOOD % 3,
          "{not json"],
-        "line 4: invalid JSON: Expecting property name enclosed in double quotes: "
+        "{path}: line 4: invalid JSON: Expecting property name enclosed in double quotes: "
         "line 1 column 2 (char 1)"),
     ".5": (['{"id": "a", "frame_hop": 0.5, "frames": [[0.25, .5]]}'],
-           "line 1: invalid JSON: Expecting value: line 1 column 49 (char 48)"),
+           "{path}: line 1: invalid JSON: Expecting value: line 1 column 49 (char 48)"),
     "1.": (['{"id": "a", "frame_hop": 0.5, "frames": [[0.25, 1.]]}'],
-           "line 1: invalid JSON: Expecting ',' delimiter: line 1 column 50 (char 49)"),
+           "{path}: line 1: invalid JSON: Expecting ',' delimiter: line 1 column 50 (char 49)"),
     "+0.5": (['{"id": "a", "frame_hop": 0.5, "frames": [[0.25, +0.5]]}'],
-             "line 1: invalid JSON: Expecting value: line 1 column 49 (char 48)"),
+             "{path}: line 1: invalid JSON: Expecting value: line 1 column 49 (char 48)"),
     "exponent out of range": (
         ['{"id": "a", "frame_hop": 0.5, "frames": [[0.25, 1e1]]}'], _OUT_OF_RANGE % "a"),
     "negative value": (
         ['{"id": "a", "frame_hop": 0.5, "frames": [[0.25, -0.5]]}'], _OUT_OF_RANGE % "a"),
     "infinite frame_hop": (
         ['{"id": "a", "frame_hop": 1e999, "frames": [[0.25, 0.5]]}'],
-        "line 1: track 'a': invalid 'frame_hop'"),
+        "{path}: line 1: track 'a': invalid 'frame_hop'"),
     "empty features": (
         ['{"id": "a", "frame_hop": 0.5, "frames": [[0.25, 0.5]], '
          '"segments": [{"start": 0, "features": []}]}'],
@@ -133,24 +133,24 @@ HOSTILE = {
         "{path}: track 'a': segment feature dimension mismatch"),
     "nested frames": (
         ['{"id": "a", "frame_hop": 0.5, "frames": [[[0.25, 0.5]]]}'],
-        "line 1: track 'a': frame dimension mismatch"),
+        "{path}: line 1: track 'a': frame dimension mismatch"),
     "extra brace": (
         ['{"id": "a", "frame_hop": 0.5, "frames": [[0.25, 0.5]]}}'],
-        "line 1: invalid JSON: Extra data: line 1 column 55 (char 54)"),
+        "{path}: line 1: invalid JSON: Extra data: line 1 column 55 (char 54)"),
     "control character in id": (
         ['{"id": "a\x01", "frame_hop": 0.5, "frames": [[0.25, 0.5]]}'],
-        "line 1: invalid JSON: Invalid control character at: line 1 column 10 (char 9)"),
+        "{path}: line 1: invalid JSON: Invalid control character at: line 1 column 10 (char 9)"),
     "empty id": (
         ['{"id": "", "frame_hop": 0.5, "frames": [[0.25, 0.5]]}'],
-        "line 1: missing or invalid 'id'"),
+        "{path}: line 1: missing or invalid 'id'"),
     "leading zero start": (
         ['{"id": "a", "frame_hop": 0.5, "frames": [[0.25, 0.5]], '
          '"segments": [{"start": 01, "features": [0.25, 0.5]}]}'],
-        "line 1: invalid JSON: Expecting ',' delimiter: line 1 column 80 (char 79)"),
+        "{path}: line 1: invalid JSON: Expecting ',' delimiter: line 1 column 80 (char 79)"),
     "float start": (
         ['{"id": "a", "frame_hop": 0.5, "frames": [[0.25, 0.5]], '
          '"segments": [{"start": 1.0, "features": [0.25, 0.5]}]}'],
-        "line 1: track 'a': segment start must be an integer"),
+        "{path}: line 1: track 'a': segment start must be an integer"),
     "empty segments, then a bad line": (
         ['{"id": "a", "frame_hop": 0.5, "frames": [[0.25, 0.5]], "segments": []}',
          '{"id": "b", "frame_hop": 0.5, "frames": [[0.25, 1.5]]}'],
@@ -159,7 +159,7 @@ HOSTILE = {
     # 20,000 x 20,000 array (3.2 GB) from text of well under 1 MB.
     "wide first row, then narrow rows": (
         ['{"id": "a", "frame_hop": 0.5, "frames": [[%s%s]]}' % (_WIDE, "], [0" * 20_000)],
-        "line 1: track 'a': frame dimension mismatch or non-numeric value"),
+        "{path}: line 1: track 'a': frame dimension mismatch or non-numeric value"),
     "wide frame, then narrow sections": (
         ['{"id": "a", "frame_hop": 0.5, "frames": [[%s]], "segments": [%s]}'
          % (_WIDE, ", ".join(['{"start": 0, "features": [0]}'] * 20_000))],
@@ -223,7 +223,8 @@ def test_hostile_lines_keep_their_error_among_good_lines(monkeypatch, tmp_path, 
                     + "\n", encoding="utf-8")
     with pytest.raises(CatalogError) as caught:
         load_catalog(path)
-    expected = re.sub(r"^line (\d+):", lambda m: f"line {int(m[1]) + before}:", message)
+    expected = re.sub(r"^\{path\}: line (\d+):",
+                      lambda m: f"{{path}}: line {int(m[1]) + before}:", message)
     assert str(caught.value) == expected.format(path=path)
 
 
@@ -547,7 +548,7 @@ def test_integer_beyond_float_range_is_a_catalog_error(tmp_path, line, fault):
     path.write_text(line + "\n", encoding="utf-8")
     with pytest.raises(CatalogError) as caught:
         load_catalog(path)
-    assert str(caught.value) == f"line 1: track 'a': {fault}"
+    assert str(caught.value) == f"{path}: line 1: track 'a': {fault}"
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
@@ -559,7 +560,8 @@ def test_integer_beyond_float_range_is_a_catalog_error(tmp_path, line, fault):
 def test_integer_beyond_the_digit_limit_is_a_catalog_error(tmp_path, line):
     path = tmp_path / "cat.jsonl"
     path.write_text(_GOOD % 1 + "\n" + line + "\n", encoding="utf-8")
-    with pytest.raises(CatalogError, match=r"^line 2: invalid JSON: Exceeds the limit \(4300"):
+    with pytest.raises(CatalogError, match=f"^{re.escape(str(path))}: "
+                                           r"line 2: invalid JSON: Exceeds the limit \(4300"):
         load_catalog(path)
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import segue
+from conftest import HOSTILE_PLAYLIST_VALUES, with_value
 from segue import cli
 from segue.catalog import load_catalog
 from segue.model import load_model
@@ -444,6 +445,36 @@ class TestExitCodes:
         [line] = error_lines(capsys)
         assert line.startswith("segue: error: ") and message in line
 
+    @pytest.mark.parametrize("where, value, message", list(HOSTILE_PLAYLIST_VALUES.values()),
+                             ids=list(HOSTILE_PLAYLIST_VALUES))
+    def test_malformed_playlist_value_is_data_error(self, pipeline, tmp_path, capsys,
+                                                    where, value, message):
+        playlist_path, csv_path = tmp_path / "playlist.json", tmp_path / "t.csv"
+        assert run(["generate", "-i", str(pipeline["segmented"]), "-m", str(pipeline["model"]),
+                    "--seed-track", "t01", "--length", "3", "--metric", "cosine",
+                    "-o", str(playlist_path)]) == 0
+        data = with_value(json.loads(playlist_path.read_text()), where, value)
+        playlist_path.write_text(json.dumps(data))
+        capsys.readouterr()
+        code = run(["export-transitions", "-i", str(pipeline["segmented"]),
+                    "-p", str(playlist_path), "-o", str(csv_path)])
+        assert code == 2
+        assert error_lines(capsys) == [f"segue: error: {message}"]
+        assert not csv_path.exists()
+
+    def test_bad_catalog_line_in_export_names_the_catalog(self, pipeline, tmp_path, capsys):
+        playlist_path, catalog = tmp_path / "playlist.json", tmp_path / "bad.jsonl"
+        assert run(["generate", "-i", str(pipeline["segmented"]), "-m", str(pipeline["model"]),
+                    "--seed-track", "t01", "--length", "3", "--metric", "cosine",
+                    "-o", str(playlist_path)]) == 0
+        catalog.write_text(pipeline["segmented"].read_text() + "{not json\n")
+        capsys.readouterr()
+        code = run(["export-transitions", "-i", str(catalog), "-p", str(playlist_path),
+                    "-o", str(tmp_path / "t.csv")])
+        assert code == 2
+        [line] = error_lines(capsys)
+        assert line.startswith(f"segue: error: {catalog}: line 9: invalid JSON: ")
+
     def test_integer_beyond_float_range_is_data_error(self, tmp_path, capsys):
         catalog = tmp_path / "huge.jsonl"
         catalog.write_text('{"id": "a", "frame_hop": 0.5, "frames": [[0.5, 1%s]]}\n' % ("0" * 400))
@@ -458,7 +489,8 @@ class TestExitCodes:
         catalog.write_text('{"id": "a", "frame_hop": 0.5, "frames": [[0.5, 1%s]]}\n' % ("0" * 5000))
         code = run(["segment", "-i", str(catalog), "-o", str(tmp_path / "o.jsonl")])
         assert code == 2
-        assert "segue: error: line 1: invalid JSON: Exceeds the limit" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"segue: error: {catalog}: line 1: invalid JSON: Exceeds the limit" in err
 
     def test_deeply_nested_playlist_is_data_error(self, pipeline, tmp_path, capsys):
         playlist_path = tmp_path / "deep.json"
@@ -474,7 +506,8 @@ class TestExitCodes:
         code = run(["segment", "-i", str(catalog), "-o", str(tmp_path / "o.jsonl")])
         assert code == 2
         [line] = error_lines(capsys)
-        assert line.startswith("segue: error: line 1: invalid JSON: maximum recursion depth exceeded")
+        assert line.startswith(f"segue: error: {catalog}: line 1: invalid JSON: "
+                               "maximum recursion depth exceeded")
 
     def test_zero_dimension_catalog_is_data_error(self, tmp_path, capsys):
         catalog = tmp_path / "empty-rows.jsonl"

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import random
 import re
 import tracemalloc
@@ -30,6 +31,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import HOSTILE_PLAYLIST_VALUES, with_value
 from segue import cli
 from segue.catalog import Catalog, Track, load_catalog, save_catalog
 from segue.playlist import read_transition_csv
@@ -127,8 +129,11 @@ def readers(name: str, path: Path, seeds: dict, out: Path) -> list:
     return [lambda: read_csv(path)]
 
 
-def faults(name: str, data: bytes, seeds: dict, out: Path) -> list[str]:
-    """Run ``data`` as a fuzzed copy of seed ``name``; what broke the contract, if anything."""
+def faults(name: str, data: bytes, seeds: dict, out: Path, codes=(0, 2)) -> list[str]:
+    """Run ``data`` as a fuzzed copy of seed ``name``; what broke the contract, if anything.
+
+    Each reader must exit with one of ``codes``.
+    """
     path = out / f"fuzzed-{name}"
     path.write_bytes(data)
     bound = PEAK_PER_INPUT_BYTE * len(data) + PEAK_ALLOWANCE
@@ -142,7 +147,7 @@ def faults(name: str, data: bytes, seeds: dict, out: Path) -> list[str]:
             found.append(f"escaped {type(exc).__name__}: {exc}"[:300])
             continue
         peak = tracemalloc.get_traced_memory()[1] - start
-        if code not in (0, 2):
+        if code not in codes:
             found.append(f"exit code {code}")
         if peak > bound:
             found.append(f"traced peak {peak} bytes over {bound}")
@@ -201,3 +206,27 @@ def test_regression_inputs_exit_0_or_2_within_the_memory_bound(case, seeds, tmp_
     assert data != seeds[name].read_bytes()
     with traced():
         assert faults(name, data, seeds, tmp_path) == []
+
+
+def playlist_value(where: tuple, value):
+    """The edit that puts ``value`` at the key path ``where`` of a playlist file."""
+    return lambda seed: json.dumps(with_value(json.loads(seed), where, value)).encode()
+
+
+REFUSED = {
+    # each exited 0 with a wrong transition CSV or a wrong playlist, or escaped
+    # with a bare TypeError or numpy's own text; every one must exit 2
+    **{f"playlist-{case.replace(' ', '-')}": ("playlist.json", playlist_value(where, value))
+       for case, (where, value, _) in HOSTILE_PLAYLIST_VALUES.items()},
+    "transition-csv-with-nan": ("transitions.csv", first_value(b"pred:0,", b"nan")),
+    "transition-csv-with-inf": ("transitions.csv", first_value(b"pred:0,", b"inf")),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED)
+def test_refused_inputs_exit_2_within_the_memory_bound(case, seeds, tmp_path):
+    name, edit = REFUSED[case]
+    data = edit(seeds[name].read_bytes())
+    assert data != seeds[name].read_bytes()
+    with traced():
+        assert faults(name, data, seeds, tmp_path, codes=(2,)) == []

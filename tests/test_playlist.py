@@ -3,11 +3,12 @@
 import dataclasses
 import inspect
 import logging
+import re
 
 import numpy as np
 import pytest
 
-from conftest import segmented_catalog
+from conftest import HOSTILE_PLAYLIST_VALUES, segmented_catalog, with_value
 from segue import cli, playlist, similarity
 from segue import rnn as rnn_mod
 from segue.catalog import Catalog, CatalogError, Track
@@ -90,9 +91,12 @@ class TestGenerate:
             assert a.chosen_score == b.chosen_score
 
     def test_context_concatenates_chosen_tracks_most_recent_last(self):
-        # Advancing by a one-section track is a one-row product, which BLAS may
-        # round differently from the same row inside a longer window, so values
-        # are held to 1e-12 here; the ids must match exactly.
+        # While the history fits the context, the state is advanced by each new
+        # track's sections only. Advancing by a one-section track is a one-row
+        # product, which BLAS may round differently from the same row inside a
+        # longer window, so those steps are held to 1e-12. Past the context a
+        # step runs the window from zero, as predict_next does, so it matches
+        # bit for bit; the ids must match exactly.
         rng = np.random.default_rng(11)
         seen = set()
         for case in range(40):
@@ -111,6 +115,9 @@ class TestGenerate:
             assert result.track_ids == chosen
             assert len(result.steps) == len(records)
             for step, (prediction, gap, history) in zip(result.steps, records):
+                if history > model.context_length:
+                    assert step.prediction.tobytes() == prediction.tobytes()
+                    assert step.gap == gap
                 np.testing.assert_allclose(step.prediction, prediction, rtol=0, atol=1e-12)
                 assert step.chosen_id == gap.best_id
                 for field in ("best_score", "median_score", "margin", "best_cosine_distance"):
@@ -220,6 +227,13 @@ class TestGenerate:
         with pytest.raises(ValueError, match="^step 1: prediction value beyond float range$"):
             Playlist.from_dict(data)
 
+    @pytest.mark.parametrize("where, value, message", list(HOSTILE_PLAYLIST_VALUES.values()),
+                             ids=list(HOSTILE_PLAYLIST_VALUES))
+    def test_from_dict_names_the_key_of_a_malformed_value(self, where, value, message):
+        data = generate(make_catalog(), make_model(), "t00", 3, Metric("l2")).to_dict()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Playlist.from_dict(with_value(data, where, value))
+
     @pytest.mark.parametrize("data", [[], "playlist", {"seed": "t00", "metric": "l2",
                                       "tracks": ["t00"], "truncated": False, "steps": 3}])
     def test_from_dict_rejects_other_shapes(self, data):
@@ -297,6 +311,19 @@ class TestExportTransitionMatrix:
         path = tmp_path / "short.csv"
         path.write_text("label,dim_0,dim_1,dim_2\nseg:a:0,0.1,0.2,0.3\npred:0,0.1,0.2\n")
         with pytest.raises(ValueError, match=r"^line 3: 2 values, expected 3$"):
+            read_transition_csv(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999", "1" + "0" * 400])
+    def test_non_finite_csv_value_names_its_line(self, tmp_path, cell):
+        path = tmp_path / "non-finite.csv"
+        path.write_text(f"label,dim_0,dim_1\nseg:a:0,0.1,0.2\npred:0,0.3,{cell}\n")
+        with pytest.raises(ValueError, match="^line 3: non-finite value$"):
+            read_transition_csv(path)
+
+    def test_csv_value_that_is_not_a_number_names_its_line(self, tmp_path):
+        path = tmp_path / "text.csv"
+        path.write_text("label,dim_0\nseg:a:0,0.1\nseg:a:1,x\n")
+        with pytest.raises(ValueError, match="^line 3: could not convert string to float: 'x'$"):
             read_transition_csv(path)
 
     def test_cut_prediction_names_its_step(self):

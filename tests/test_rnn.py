@@ -663,7 +663,7 @@ def same_bits(a, b) -> bool:
 
 
 class TestDenseStepBits:
-    """Steps that carry their rows give, bit for bit, what the gather/scatter loop gave."""
+    """Steps that take their rows as views give, bit for bit, what the gather/scatter loop gave."""
 
     DIMENSION = 5
 
@@ -731,6 +731,79 @@ class TestDenseStepBits:
             ref_hidden, ref_cell = reference_run(model, windows, masks)
             assert same_bits(forward(model, windows, masks), reference_prediction(model, ref_hidden))
             self.assert_states(*rnn_module._run(model, windows, masks), ref_hidden, ref_cell)
+
+
+def reference_bptt(model, tape, d_out, grads):
+    """The backward step loop that gathers and scatters every step's rows by item, as
+    ``rnn._bptt`` did before all-real steps took their rows as views."""
+    (count, items, spans), *layers, _ = tape
+    size = model.hidden_size
+    dx = d_out
+    for index in reversed(range(model.num_layers)):
+        layer = model.layers[index]
+        x, h_prev, gates, c_prev, tanh_c = layers[index]
+        w_h = layer.w_h
+        dh, dc = np.zeros((2, count, size))
+        dz = np.empty_like(gates)
+        for lo, hi in reversed(spans):
+            rows, z, tc = items[lo:hi], gates[lo:hi], tanh_c[lo:hi]
+            i, f, o, g = (z[:, k * size : (k + 1) * size] for k in range(4))
+            d_h = dh[rows] + dx[lo:hi]
+            d_c = dc[rows] + d_h * o * (1.0 - tc**2)
+            dz_i, dz_f, dz_o, dz_g = (dz[lo:hi, k * size : (k + 1) * size] for k in range(4))
+            np.multiply(d_c * g * i, 1.0 - i, out=dz_i)
+            np.multiply(d_c * c_prev[lo:hi] * f, 1.0 - f, out=dz_f)
+            np.multiply(d_h * tc * o, 1.0 - o, out=dz_o)
+            np.multiply(d_c * i, 1.0 - g**2, out=dz_g)
+            if lo:
+                dh[rows] = dz[lo:hi] @ w_h
+                dc[rows] = d_c * f
+        if index > 0:
+            dx = dz @ layer.w_x
+        np.matmul(dz.T, x, out=grads[f"layer{index}.w_x"])
+        np.matmul(dz.T, h_prev, out=grads[f"layer{index}.w_h"])
+        np.sum(dz, axis=0, out=grads[f"layer{index}.bias"])
+
+
+class TestBpttBits:
+    """The backward pass gives, bit for bit, what the loop that gathers every step's rows gave."""
+
+    LENGTH = 6
+
+    @classmethod
+    def batches(cls, rng):
+        dimension = TestDenseStepBits.DIMENSION
+        for _ in range(3):
+            yield random_batch(rng, cls.LENGTH, dimension, 9)  # left-padded, gapped, fully masked
+        all_real = np.ones(cls.LENGTH, dtype=bool)
+        yield [TrainingPair(rng.uniform(0, 1, (cls.LENGTH, dimension)), all_real,
+                            rng.uniform(0, 1, dimension)) for _ in range(3)]
+        yield nested_batch(rng, cls.LENGTH, dimension)
+
+    @staticmethod
+    def step_kinds(batch):
+        """Whether the batch's run has a step where every item is real, and one that leaves
+        items out."""
+        masks = np.array([pair.mask for pair in batch])
+        carriers, _ = rnn_module._shared_runs(np.array([pair.window for pair in batch]), masks)
+        real = masks[carriers]
+        return {"all real": real.all(axis=0).any(),
+                "some left out": (real.any(axis=0) & ~real.all(axis=0)).any()}
+
+    def test_gradients_equal_the_gathering_loop(self, monkeypatch):
+        rng = np.random.default_rng(46)
+        seen = set()
+        for model in TestDenseStepBits.models():
+            for batch in self.batches(rng):
+                seen.update(kind for kind, present in self.step_kinds(batch).items() if present)
+                loss, grads = loss_and_gradients(model, batch)
+                with monkeypatch.context() as patched:
+                    patched.setattr(rnn_module, "_bptt", reference_bptt)
+                    ref_loss, ref_grads = loss_and_gradients(model, batch)
+                assert loss == ref_loss
+                for name, grad in grads.items():
+                    assert same_bits(grad, ref_grads[name]), name
+        assert seen == {"all real", "some left out"}
 
 
 def two_branch_sigmoid(x):

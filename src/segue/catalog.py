@@ -25,22 +25,24 @@ order, ``json.dumps`` separators, an id without escapes) apart without
 ``json``, whatever their length. Consecutive such lines are gathered into
 batches of about ``_BATCH_TEXT`` (128 KiB) of text, a longer line being a
 batch of its own.
-A batch's frame rows, then its section rows, are parsed into one array, in
-blocks of whole rows of at most 64 KiB of text tokenised as bytes in numpy, and
-each track holds row views of it. A token ``I.ddd`` (I is 0 or 1, 1 to 8
-decimals, the shape the writer builds) is computed exactly in numpy. A block's
-other tokens, longer decimals among them, whose bytes must all be ones a
-number holds (digits, signs, points, exponents), are read by ``json`` itself,
-in one ``json.loads``, which refuses any that is not a JSON number;
+A batch's frame rows are parsed into one array and its section rows into
+another, in blocks of whole rows of at most 64 KiB of text tokenised as bytes
+in numpy, and each track holds row views of them. A token ``I.ddd`` (I is 0 or
+1, 1 to 8 decimals, the shape the writer builds) is computed exactly in numpy.
+A block's other tokens, longer decimals among them, whose bytes must all be
+ones a number holds (digits, signs, points, exponents), are read by ``json``
+itself, in one ``json.loads``, which refuses any that is not a JSON number;
 ``frame_hop`` is read by ``json.loads`` too. Lines in any other layout, a line
 whose first frame holds longer values on average (full precision, which
 ``json`` reads as fast), and every line of a batch whose text fails a check
 are read by ``json.loads``, one at a time in file order.
 Which path ran never shows in the result: the tracks and every error are the
-same. ``Catalog.from_tracks`` then walks the tracks once, in order, and
-raises the first fault, naming its track. Values are checked once per array
-that the tracks' rows live in; a track's own values only when that array
-fails, so a bad value is blamed on the first track that holds it.
+same. The file is read and checked in one walk: the tracks stream, a batch at
+a time, into ``Catalog.from_tracks``, which raises the first fault in file
+order, a parse or a check, naming its track, and reading stops at the batch
+that holds it. Values are checked once per array that the tracks' rows live
+in; a track's own values only when that array fails, so a bad value is
+blamed on the first track that holds it.
 
 Catalogs are treated as immutable after construction: segmentation builds a
 new ``Catalog`` rather than mutating one in place.
@@ -249,33 +251,34 @@ def load_catalog(path: str | Path) -> Catalog:
 
     Lines in the writer's layout are parsed in numpy in batches of about
     ``_BATCH_TEXT`` characters, any other line by ``json`` (``_read_tracks``);
-    which path read a line never shows in the result. Raises ``CatalogError``
-    naming the file, then the offending line and track, for malformed JSON,
-    dimension mismatches, out-of-range values, or duplicate ids.
+    which path read a line never shows in the result. The tracks stream into
+    ``Catalog.from_tracks``, so the file is read and checked in one walk: the
+    first fault in file order is raised, and reading stops at the batch that
+    holds it. Raises ``CatalogError`` naming the file, then the offending
+    line and track, for malformed JSON, dimension mismatches, out-of-range
+    values, duplicate ids, or a file without tracks.
     """
     path = Path(path)
     try:
         with path.open("r", encoding="utf-8") as handle:
-            tracks = _read_tracks(handle)
-        if not tracks:
-            raise CatalogError("catalog file contains no tracks")
-        return Catalog.from_tracks(tracks)
+            return Catalog.from_tracks(_read_tracks(handle))
     except CatalogError as exc:
         raise CatalogError(f"{path}: {exc}") from None
 
 
-def _read_tracks(lines: Iterable[str]) -> list[Track]:
-    """One track per non-blank line, in file order.
+def _read_tracks(lines: Iterable[str]) -> Iterator[Track]:
+    """One track per non-blank line, in file order, yielded as they are read.
 
-    Consecutive lines in the writer's layout (``_split_layout``) of one frame
-    width are gathered into batches of about ``_BATCH_TEXT`` characters and
-    read together by ``_read_batch``; a longer line is a batch of its own.
-    Every other line is read by ``json`` (``_parse_line``) after the pending
-    batch, and so is each line of a batch that does not parse, so the tracks
-    keep the file's order and every error is the one ``json`` and
-    ``_parse_record`` raise.
+    Consecutive lines in the writer's layout (``_split_layout``) are gathered
+    into batches of about ``_BATCH_TEXT`` characters and read together by
+    ``_read_batch``; a longer line is a batch of its own. A batch's tracks are
+    yielded once the line after it is read, so a caller that stops at a bad
+    track reads no further than its batch and the line that closed it. Every
+    other line is read by ``json`` (``_parse_line``) after the pending batch,
+    and so is each line of a batch that does not parse (a batch of lines of
+    different widths among them), so the tracks keep the file's order and
+    every error is the one ``json`` and ``_parse_record`` raise.
     """
-    tracks: list[Track] = []
     batch: list[_Layout] = []
     size = 0
     for lineno, line in enumerate(lines, start=1):
@@ -283,16 +286,15 @@ def _read_tracks(lines: Iterable[str]) -> list[Track]:
         if not line:
             continue
         layout = _split_layout(line, lineno)
-        if batch and (layout is None or layout.width != batch[0].width
-                      or size + len(line) > _BATCH_TEXT):
-            tracks += _read_batch(batch)
+        if batch and (layout is None or size + len(line) > _BATCH_TEXT):
+            yield from _read_batch(batch)
             batch, size = [], 0
         if layout is None:
-            tracks.append(_parse_line(line, lineno))
+            yield _parse_line(line, lineno)
         else:
             batch.append(layout)
             size += len(line)
-    return tracks + _read_batch(batch)
+    yield from _read_batch(batch)
 
 
 def _parse_line(line: str, lineno: int) -> Track:
@@ -452,28 +454,30 @@ def _split_layout(line: str, lineno: int) -> _Layout | None:
                    sections)
 
 
-def _read_batch(batch: list[_Layout]) -> list[Track]:
-    """The tracks of consecutive layout lines of one width, their numbers parsed together.
+def _read_batch(batch: list[_Layout]) -> Iterable[Track]:
+    """The tracks of consecutive layout lines, their numbers parsed together.
 
-    The frame rows of every line, then the section rows, are parsed into one
-    array, of which each track holds row views. If any of the text does not
-    parse, every line of the batch is read by ``json`` instead.
+    The frame rows of every line are parsed into one array, and the section
+    rows into another; each track holds row views of them. If any of the
+    text does not parse, the lines of the batch are read by ``json`` instead,
+    one at a time as the tracks are taken, so that a fault in a later line
+    is raised only after the earlier tracks have been checked.
     """
     if not batch:
         return []
+    width = batch[0].width
     counts = [layout.line.count("], [", layout.frames.start, layout.frames.stop) + 1
               for layout in batch]
+    frames = _parse_array([(layout.line, layout.frames) for layout in batch], sum(counts), width)
     segmented = [layout for layout in batch if layout.starts is not None]
-    rows = [(row, slice(0, len(row))) for layout in segmented for row in layout.sections]
-    total = sum(counts)
-    values = _parse_arrays([[(layout.line, layout.frames) for layout in batch], rows],
-                           [total, len(rows)], batch[0].width)
-    if values is None:
-        return [_parse_line(layout.line, layout.lineno) for layout in batch]
-    frames, sections = values[:total], values[total:]
-    if segmented:
+    sections = starts = None
+    if frames is not None and segmented:
+        rows = [(row, slice(0, len(row))) for layout in segmented for row in layout.sections]
+        sections = _parse_array(rows, len(rows), width)
         starts = np.array(" ".join(layout.starts for layout in segmented).split(" "),
                           dtype=np.int64)
+    if frames is None or (segmented and sections is None):
+        return (_parse_line(layout.line, layout.lineno) for layout in batch)
     tracks = []
     row = section = 0
     for layout, count in zip(batch, counts):
@@ -488,50 +492,44 @@ def _read_batch(batch: list[_Layout]) -> list[Track]:
     return tracks
 
 
-def _parse_arrays(texts: list[list[tuple[str, slice]]], rows: list[int], width: int
-                  ) -> np.ndarray | None:
-    """The values of row texts as one ``(sum(rows), width)`` array, text after text.
+def _parse_array(pieces: list[tuple[str, slice]], count: int, width: int) -> np.ndarray | None:
+    """The values of one row text as a ``(count, width)`` array.
 
-    Each text is given as pieces ``(text, span)``, whose ``text[span]`` are
-    joined by ``"], ["``, and must hold ``rows[i]`` rows; None when one holds
+    The text is given as pieces ``(text, span)``, whose ``text[span]`` are
+    joined by ``"], ["``, and must hold ``count`` rows; None when it holds
     another number of rows or does not parse. The array is allocated only
-    when every text is long enough to hold its rows (one character a value,
+    when the text is long enough to hold its rows (one character a value,
     two between values), so no text can claim more memory than its own length
-    suggests; and before any text is joined, so that it lies below the
-    parser's scratch on the heap. Each text is then parsed a block of whole
-    rows at a time, each block at most ``_READ_BLOCK`` characters unless one
-    row is longer.
+    suggests; and before the text is joined, so that it lies below the
+    parser's scratch on the heap. One piece, as a long line's frames, is
+    parsed in place, not copied. The text is parsed a block of whole rows at
+    a time, each block at most ``_READ_BLOCK`` characters unless one row is
+    longer.
     """
-    for pieces, count in zip(texts, rows):
-        length = sum(span.stop - span.start for _, span in pieces) + 4 * len(pieces) - 4
-        if count and 3 * count * width - 2 > length:
-            return None
-    array = np.empty((sum(rows), width))
+    length = sum(span.stop - span.start for _, span in pieces) + 4 * len(pieces) - 4
+    if 3 * count * width - 2 > length:
+        return None
+    array = np.empty((count, width))
+    if len(pieces) == 1:
+        text, span = pieces[0]
+    else:
+        text = "], [".join(piece[span] for piece, span in pieces)
+        span = slice(0, len(text))
+    start, end = span.start, span.stop
     filled = 0
-    for pieces, count in zip(texts, rows):
-        if not count:
-            continue
-        if len(pieces) == 1:  # one piece, as a long line's frames: parsed in place, not copied
-            text, span = pieces[0]
-        else:
-            text = "], [".join(piece[span] for piece, span in pieces)
-            span = slice(0, len(text))
-        start, end = span.start, span.stop
-        limit = filled + count
-        while True:
-            cut = end if end - start <= _READ_BLOCK else text.rfind("], [", start, start + _READ_BLOCK)
-            if cut <= start:  # one row longer than a block, or an empty row
-                cut = text.find("], [", start, end)
-                cut = end if cut < 0 else cut
-            block = _parse_rows(text[start:cut], width)
-            if block is None or filled + len(block) > limit:
-                return None
-            array[filled : filled + len(block)] = block
-            filled += len(block)
-            if cut == end:
-                break
-            start = cut + 4
-    return array
+    while True:
+        cut = end if end - start <= _READ_BLOCK else text.rfind("], [", start, start + _READ_BLOCK)
+        if cut <= start:  # one row longer than a block, or an empty row
+            cut = text.find("], [", start, end)
+            cut = end if cut < 0 else cut
+        block = _parse_rows(text[start:cut], width)
+        if block is None or filled + len(block) > count:
+            return None
+        array[filled : filled + len(block)] = block
+        filled += len(block)
+        if cut == end:
+            return array
+        start = cut + 4
 
 
 def _parse_rows(text: str, width: int) -> np.ndarray | None:

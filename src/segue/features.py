@@ -100,8 +100,8 @@ class SynthSpec:
         for lo, hi in (self.segment_range, self.frames_per_segment):
             if lo < 1 or hi < lo:
                 raise ValueError("ranges must satisfy 1 <= lo <= hi")
-        if self.noise < 0:
-            raise ValueError("noise must be >= 0")
+        if not 0 <= self.noise < np.inf:  # NaN fails both comparisons
+            raise ValueError(f"noise must be finite and >= 0, not {self.noise}")
 
     def track_id(self, index: int) -> str:
         width = max(2, len(str(self.track_count - 1)))

@@ -514,11 +514,11 @@ class _Adam:
     # Elements per slice of the in-place update: keeps its two scratch
     # buffers small enough to stay in cache however many parameters there are.
     chunk = 1 << 15
+    # The moments' decay rates and the denominator's offset (Kingma & Ba's defaults).
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, size: int, learning_rate: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, size: int, learning_rate: float):
         self.learning_rate = learning_rate
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step = 0
         self.m, self.v = np.zeros((2, size))
         self._scratch = np.empty((2, self.chunk))

@@ -53,7 +53,10 @@ class Metric:
     def __post_init__(self) -> None:
         if self.kind not in METRIC_NAMES:
             raise ValueError(f"unknown metric '{self.kind}' (choose from {METRIC_NAMES})")
-        if self.dcg_depth is not None and self.dcg_depth < 1:
+        depth = self.dcg_depth
+        if depth is not None and type(depth) is not int:  # a float fails at scoring; True is 1
+            raise ValueError(f"dcg_depth must be an integer, not {depth!r}")
+        if depth is not None and depth < 1:
             raise ValueError("dcg_depth must be >= 1")
 
     @property
@@ -116,8 +119,6 @@ def dcg_similarity(pred: np.ndarray, candidate: np.ndarray, depth: int | None = 
     1 / log2(i + 1) for i = 1..depth. Only the prediction's ordering matters,
     so positive rescaling of the prediction never changes scores.
     """
-    if depth is not None and depth < 1:
-        raise ValueError(f"dcg depth {depth} outside [1, {np.shape(pred)[-1]}]")
     return score(pred, candidate, Metric("dcg", depth))
 
 

@@ -105,11 +105,10 @@ HOSTILE = {
         [_GOOD % 1, '{"id": "b", "frame_hop": 0.5, "frames": [[0.25, 00.5]]}', _GOOD % 3,
          "{not json"],
         "{path}: line 2: invalid JSON: Expecting ',' delimiter: line 1 column 50 (char 49)"),
-    "bad value, JSON error later": (
+    "bad value, JSON error later": (  # the first fault in file order is raised
         [_GOOD % 1, '{"id": "b", "frame_hop": 0.5, "frames": [[0.25, 1.5]]}', _GOOD % 3,
          "{not json"],
-        "{path}: line 4: invalid JSON: Expecting property name enclosed in double quotes: "
-        "line 1 column 2 (char 1)"),
+        _OUT_OF_RANGE % "b"),
     ".5": (['{"id": "a", "frame_hop": 0.5, "frames": [[0.25, .5]]}'],
            "{path}: line 1: invalid JSON: Expecting value: line 1 column 49 (char 48)"),
     "1.": (['{"id": "a", "frame_hop": 0.5, "frames": [[0.25, 1.]]}'],
@@ -228,6 +227,40 @@ def test_hostile_lines_keep_their_error_among_good_lines(monkeypatch, tmp_path, 
     assert str(caught.value) == expected.format(path=path)
 
 
+def _guarded(lines, stop):
+    """``lines``, failing the test when line ``stop`` is read."""
+    for lineno, line in enumerate(lines, start=1):
+        assert lineno < stop, f"line {lineno} was read"
+        yield line
+
+
+_BAD_VALUE = '{"id": "b", "frame_hop": 0.5, "frames": [[0.25, 0.5], [0.5, 1.5]]}'
+
+
+@pytest.mark.parametrize("batch", [
+    [_BAD_VALUE, _GOOD % 4],
+    [_BAD_VALUE, '{"id": "r", "frame_hop": 0.5, "frames": [[0.25, 0.5], [0.75]]}'],
+], ids=["good line after", "line that does not parse after"])
+def test_loading_stops_at_the_batch_of_the_first_fault(monkeypatch, tmp_path, batch):
+    """The first bad track's error is raised, and no line past its batch is read.
+
+    Two lines make a batch here: lines 1-2, then the bad track and the line
+    after it, lines 3-4. Line 5, which closes that batch, is read; line 6 is
+    not. When the batch does not parse, its lines are read one at a time, so
+    the bad value is still the first fault.
+    """
+    monkeypatch.setattr(catalog_module, "_BATCH_TEXT", 2 * len(_fillers(1, 0, 2)[0]))
+    path = tmp_path / "cat.jsonl"
+    path.write_text("\n".join(_fillers(2, 0, 2) + batch + _fillers(100, 2, 2)) + "\n",
+                    encoding="utf-8")
+    read_tracks = catalog_module._read_tracks
+    monkeypatch.setattr(catalog_module, "_read_tracks",
+                        lambda lines: read_tracks(_guarded(lines, stop=6)))
+    with pytest.raises(CatalogError) as caught:
+        load_catalog(path)
+    assert str(caught.value) == (_OUT_OF_RANGE % "b").format(path=path)
+
+
 def _oracle(lines):
     """Tracks as ``json`` reads them: the reference for every reader path."""
     return [catalog_module._parse_record(json.loads(line), lineno)
@@ -235,6 +268,7 @@ def _oracle(lines):
 
 
 def _assert_same_tracks(found, expected):
+    found = list(found)
     assert [t.id for t in found] == [t.id for t in expected]
     for got, want in zip(found, expected):
         assert got.frame_hop == want.frame_hop and type(got.frame_hop) is float, got.id

@@ -362,6 +362,14 @@ class TestExitCodes:
         assert code == 2
         assert "dcg_depth must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("noise", ["inf", "nan"])
+    def test_synth_refuses_non_finite_noise(self, capsys, tmp_path, noise):
+        out = tmp_path / "cat.jsonl"
+        code = run(["synth", "--tracks", "4", "--dim", "16", "--noise", noise, "-o", str(out)])
+        assert code == 2
+        assert error_lines(capsys) == [f"segue: error: noise must be finite and >= 0, not {noise}"]
+        assert not out.exists()
+
     def test_unknown_flag_is_usage_error(self, capsys):
         assert run(["synth", "--does-not-exist", "-o", "x"]) == 1
 

@@ -232,6 +232,12 @@ class TestSyntheticCatalog:
         with pytest.raises(ValueError):
             SynthSpec(**base)
 
+    @pytest.mark.parametrize("noise", [float("inf"), float("nan"), -0.1])
+    def test_noise_must_be_finite_and_non_negative(self, noise):
+        # infinite noise used to clamp every frame value to 0 or 1
+        with pytest.raises(ValueError, match=f"^noise must be finite and >= 0, not {noise}$"):
+            SynthSpec(noise=noise)
+
     def test_strong_dimensions_overlap_when_clusters_do_not_fit_apart(self):
         # 3 clusters x 3 strong dimensions need 9 > 8: each cluster draws its own set
         spec = SynthSpec(track_count=6, cluster_count=3, dimension=8, strong_dims=3,

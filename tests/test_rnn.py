@@ -1141,8 +1141,8 @@ class TestAdam:
         expected = {name: array.copy() for name, array in params.items()}
         m = {name: np.zeros(shape) for name, shape in shapes.items()}
         v = {name: np.zeros(shape) for name, shape in shapes.items()}
-        lr, beta1, beta2, eps = 3e-3, 0.9, 0.999, 1e-8
-        opt = _Adam(flat.size, lr, beta1, beta2, eps)
+        lr, beta1, beta2, eps = 3e-3, _Adam.beta1, _Adam.beta2, _Adam.eps
+        opt = _Adam(flat.size, lr)
         for step in range(1, 6):
             flat_grads, grads = flat_parameters(rng, shapes)
             opt.update(flat, flat_grads)

@@ -138,6 +138,16 @@ class TestDcgSimilarity:
         with pytest.raises(ValueError, match="depth"):
             dcg_similarity(np.zeros(4), np.zeros(4), 0)
 
+    def test_depth_below_one_is_refused_as_metric_refuses_it(self):
+        with pytest.raises(ValueError, match="^dcg_depth must be >= 1$"):
+            dcg_similarity(np.zeros(4), np.zeros(4), 0)
+
+    @pytest.mark.parametrize("depth", [2.5, 2.0, True, False, "2"])
+    def test_depth_that_is_not_an_integer_is_refused_when_the_metric_is_built(self, depth):
+        # 2.5 used to build and fail at the first score; True scored as depth 1
+        with pytest.raises(ValueError, match=f"^dcg_depth must be an integer, not {depth!r}$"):
+            Metric("dcg", depth)
+
 
 def brute_force_ranking(pred, catalog, metric):
     """Score every candidate independently, then sort by orientation and id."""
